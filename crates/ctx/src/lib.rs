@@ -89,9 +89,9 @@ pub struct ExecCtx {
     pub budget: RunBudget,
     /// Delta-simulation skeleton cache. [`DeltaCache::disabled`] (the
     /// default) makes every memoization hook a single branch; an
-    /// enabled cache lets sweeps replay memoized schedule prefixes and
-    /// whole executor runs instead of re-simulating from scratch, with
-    /// byte-identical results.
+    /// enabled cache lets sweeps replay memoized schedule prefixes
+    /// instead of re-simulating from scratch, with byte-identical
+    /// results.
     pub delta: DeltaCache,
 }
 

@@ -183,20 +183,6 @@ fn summarize(path: &str) -> Result<String, String> {
                 b["max_events"], b["charged_events"], b["cutoff_seq"], b["would_have_run"], b["runs_cut"]
             ));
         }
-        // Delta-cache accounting, when a run chose to attach it (private
-        // serial caches only — shared-cache counters depend on worker
-        // interleaving and are kept out of artifacts by design).
-        if let Some(d) = a.get("delta") {
-            out.push_str(&format!(
-                "  delta lookups={} full_hits={} resumes={} misses={} calls_replayed={} calls_resimulated={}\n",
-                d["lookups"], d["full_hits"], d["resumes"], d["misses"],
-                d["calls_replayed"], d["calls_resimulated"]
-            ));
-            out.push_str(&format!(
-                "  delta stored={} evictions={} entries={} bytes_held={}\n",
-                d["stored"], d["evictions"], d["entries"], d["bytes_held"]
-            ));
-        }
     }
     let mut names: Vec<(&String, &(u64, u64, u64))> = per_name.iter().collect();
     names.sort_by(|a, b| b.1 .1.cmp(&a.1 .1).then(a.0.cmp(b.0)));
@@ -484,31 +470,6 @@ mod tests {
             text.contains(
                 "budget max_events=2 charged_events=2 cutoff_seq=2 would_have_run=1 runs_cut=1"
             ),
-            "{text}"
-        );
-    }
-
-    #[test]
-    fn summarize_surfaces_the_delta_sub_lines() {
-        let j = hprc_obs::Journal::new(5);
-        let run = j.enter("exp.fig9a", 0, 0);
-        j.exit(run, 10);
-        let cache = hprc_obs::DeltaCache::new(1 << 20);
-        cache.note_miss(4);
-        cache.put(vec![1, 2, 3], std::sync::Arc::new(7u64), 64);
-        cache.note_full_hit(4);
-        j.set_delta_account(cache.account().unwrap());
-        let dir = std::env::temp_dir().join("hprc-journal-cli-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("delta.journal.jsonl");
-        std::fs::write(&path, j.to_jsonl("delta-demo", 1)).unwrap();
-        let text = summarize(path.to_str().unwrap()).unwrap();
-        assert!(
-            text.contains("delta lookups=0 full_hits=1 resumes=0 misses=1 calls_replayed=4 calls_resimulated=4"),
-            "{text}"
-        );
-        assert!(
-            text.contains("delta stored=1 evictions=0 entries=1 bytes_held=64"),
             "{text}"
         );
     }

@@ -51,8 +51,8 @@ fn usage() -> String {
          \x20            byte-identical at any N, only wall-clock time changes\n\
          --seed S     base RNG seed XOR-ed into every workload stream (default: 0)\n\
          --no-delta   disable the delta re-simulation cache (memoized schedule\n\
-         \x20            skeletons + whole-run replay); artifacts are byte-identical\n\
-         \x20            either way, only wall-clock time changes\n\
+         \x20            skeletons); artifacts are byte-identical either way, only\n\
+         \x20            wall-clock time changes\n\
          --run-id ID  name of this run's write-ahead manifest, written to\n\
          \x20            DIR/ID.manifest.jsonl (default: run)\n\
          --crash-at SEQ  abort the process the instant manifest entry SEQ is\n\

@@ -6,10 +6,9 @@
 //! over randomized adjacent-point sweeps for the clean, faulty, and
 //! preemptive executors, at `--jobs` 1 and 4.
 //!
-//! Instrumented sweeps exercise the scheduler-skeleton replay path
-//! (metrics and journal records are laid down longhand from the
-//! replayed outcome); quiet sweeps additionally exercise the executor
-//! whole-run memo. Both must be invisible in the artifacts.
+//! Instrumented and quiet sweeps alike exercise the scheduler-skeleton
+//! replay path (metrics and journal records are laid down longhand from
+//! the replayed outcome), which must be invisible in the artifacts.
 
 use hprc_ctx::ExecCtx;
 use hprc_exp::experiments::ext_preempt::vision_pipeline;
@@ -260,8 +259,7 @@ proptest! {
     ) {
         let n = node();
         let quanta: Vec<f64> = (0..3).map(|i| (1.0 + i as f64 * eps) * n.t_prtr_s()).collect();
-        // The scheduler has no preemptive skeleton path and the
-        // executor memo is quiet-gated, so an instrumented sweep
+        // The scheduler has no preemptive skeleton path, so the sweep
         // reuses nothing — identity must hold regardless.
         check_sweep(
             |jobs, delta| preempt_sweep(seed, tightness, &quanta, jobs, delta),
@@ -288,11 +286,11 @@ proptest! {
     }
 }
 
-/// Quiet runs (no registry, no journal) are where the executor
-/// whole-run memo replays; the reports it returns must be byte-equal
-/// to from-scratch execution at jobs 1 and 4.
+/// Quiet runs (no registry, no journal) replay scheduler skeletons
+/// too; the reports must be byte-equal to from-scratch execution at
+/// jobs 1 and 4, and each point costs exactly one skeleton lookup.
 #[test]
-fn quiet_executor_memo_replays_identically() {
+fn quiet_skeleton_replays_identically() {
     let n = node();
     let t_tasks: Vec<f64> = (0..3)
         .map(|i| (0.8 + i as f64 * 0.05) * n.t_prtr_s())
@@ -316,9 +314,10 @@ fn quiet_executor_memo_replays_identically() {
         assert_eq!(run(jobs, cache.clone()), scratch, "cold, jobs {jobs}");
         assert_eq!(run(jobs, cache.clone()), scratch, "warm, jobs {jobs}");
         let acct = cache.account().expect("cache is enabled");
+        assert_eq!(acct.lookups, 2 * t_tasks.len() as u64, "{acct:?}");
         assert!(
             acct.full_hits > 0,
-            "quiet warm pass should hit the whole-run memo: {acct:?}"
+            "quiet warm pass should replay skeletons: {acct:?}"
         );
     }
 }

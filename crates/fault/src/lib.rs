@@ -463,15 +463,15 @@ impl FaultPlan {
     /// Whether this plan and `other` decree identical fates for call
     /// `call` on a device with `n_slots` PRRs: every partial attempt
     /// the deeper of the two retry policies could reach, every full
-    /// attempt likewise, and the SEU sweep over all slots. Used by the
-    /// delta-simulation layer as the divergence predicate when a sweep
-    /// varies the fault spec: thanks to the coupled uniforms, two
-    /// plans with the same seed agree on a long prefix of calls, and
-    /// the first disagreeing call bounds how much of a memoized
-    /// skeleton may be replayed. Recovery-policy knobs are *not*
-    /// compared here (they are part of the skeleton cache key), and
-    /// neither are context-restore draws (the preemptive path is
-    /// memoized whole-run, never prefix-resumed).
+    /// attempt likewise, and the SEU sweep over all slots. This is the
+    /// blind form of the delta-simulation layer's divergence predicate
+    /// (which compares only the draws a memoized run consulted): thanks
+    /// to the coupled uniforms, two plans with the same seed agree on a
+    /// long prefix of calls, and the first disagreeing call bounds how
+    /// much of a memoized skeleton may be replayed. Recovery-policy
+    /// knobs are *not* compared here (they are part of the skeleton
+    /// cache key), and neither are context-restore draws (the
+    /// preemptive path is never prefix-resumed).
     pub fn agrees_at(&self, other: &FaultPlan, call: u64, n_slots: usize) -> bool {
         let partials = self
             .policy

@@ -1,11 +1,10 @@
 //! The delta-simulation skeleton cache and its accounting object.
 //!
-//! [`DeltaCache`] is a process-local, size-bounded memo store shared by
-//! every layer of the delta re-simulation path: the scheduler caches
-//! *schedule skeletons* (decision traces plus periodic resume
-//! snapshots), the executors cache whole-run reports. Keys are opaque
-//! byte strings built by the owning layer from every input that can
-//! change the memoized result — the cache itself never interprets
+//! [`DeltaCache`] is a process-local, size-bounded memo store for the
+//! delta re-simulation path: the scheduler caches *schedule skeletons*
+//! (decision traces plus periodic resume snapshots) in it. Keys are
+//! opaque byte strings built by the owning layer from every input that
+//! can change the memoized result — the cache itself never interprets
 //! them, it only stores `Arc<dyn Any>` values with an approximate byte
 //! size and evicts least-recently-used entries past the bound.
 //!
@@ -18,13 +17,12 @@
 //! sweep workers reuse each other's skeletons.
 //!
 //! Determinism contract: a hit must replay to *byte-identical* results
-//! (the owning layers guarantee this; see `hprc-sched`'s and
-//! `hprc-sim`'s delta modules), so hit/miss patterns — which can vary
-//! with worker interleaving at `--jobs > 1` — are never observable in
-//! artifacts. The [`DeltaAccount`] counters are exact but
-//! interleaving-dependent; deterministic surfaces (the `summary`
-//! experiment) therefore report accounts from serial, private-cache
-//! runs only.
+//! (the owning layer guarantees this; see `hprc-sched`'s delta
+//! module), so hit/miss patterns — which can vary with worker
+//! interleaving at `--jobs > 1` — are never observable in artifacts.
+//! The [`DeltaAccount`] counters are exact but interleaving-dependent;
+//! deterministic surfaces (the `summary` experiment) therefore report
+//! accounts from serial, private-cache runs only.
 
 use std::any::Any;
 use std::collections::HashMap;
@@ -40,8 +38,7 @@ use serde::Serialize;
 pub const DEFAULT_DELTA_BYTES: u64 = 64 * 1024 * 1024;
 
 /// The accounting snapshot of one [`DeltaCache`] — the delta analogue
-/// of [`BudgetAccount`](crate::BudgetAccount), attachable to a journal
-/// footer and rendered by `hprc-exp journal summarize` and the
+/// of [`BudgetAccount`](crate::BudgetAccount), rendered by the
 /// `summary` experiment.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize)]
 pub struct DeltaAccount {

@@ -37,7 +37,6 @@ use parking_lot::Mutex;
 
 use crate::budget::BudgetAccount;
 use crate::chrome::ChromeEvent;
-use crate::delta::DeltaAccount;
 
 /// Journal schema identifier written into every JSONL header line.
 pub const JOURNAL_SCHEMA: &str = "hprc-journal/v1";
@@ -155,8 +154,6 @@ struct State {
     stack: Vec<SpanId>,
     /// Run-budget accounting attached for the JSONL footer, if any.
     budget_account: Option<BudgetAccount>,
-    /// Delta-cache accounting attached for the JSONL footer, if any.
-    delta_account: Option<DeltaAccount>,
 }
 
 impl State {
@@ -204,7 +201,6 @@ impl Journal {
             records: Vec::new(),
             stack: Vec::new(),
             budget_account: None,
-            delta_account: None,
         }))))
     }
 
@@ -237,23 +233,6 @@ impl Journal {
     /// The attached run-budget account, if any.
     pub fn budget_account(&self) -> Option<BudgetAccount> {
         self.0.as_ref().and_then(|c| c.lock().budget_account)
-    }
-
-    /// Attaches a delta-cache account to the JSONL footer. Like the
-    /// budget account, journals without one keep the exact pre-delta
-    /// footer bytes, so existing golden logs are unaffected. Only
-    /// attach accounts from serial, private caches — shared-cache
-    /// hit/miss tallies vary with worker interleaving and would break
-    /// the journal's `--jobs` byte-identity.
-    pub fn set_delta_account(&self, account: DeltaAccount) {
-        if let Some(cell) = &self.0 {
-            cell.lock().delta_account = Some(account);
-        }
-    }
-
-    /// The attached delta-cache account, if any.
-    pub fn delta_account(&self) -> Option<DeltaAccount> {
-        self.0.as_ref().and_then(|c| c.lock().delta_account)
     }
 
     /// A journal for parallel shard `index`: live iff `self` is, with a
@@ -502,18 +481,12 @@ impl Journal {
     /// a [`BudgetAccount`] is attached, a nested `budget` object with
     /// the run-budget caps, charges, would-have-run tally, and cutoff).
     pub fn to_jsonl(&self, experiment: &str, seed: u64) -> String {
-        let (records, would, max_t, budget, delta) = match &self.0 {
+        let (records, would, max_t, budget) = match &self.0 {
             Some(cell) => {
                 let s = cell.lock();
-                (
-                    s.records.clone(),
-                    s.would,
-                    s.max_t_ns,
-                    s.budget_account,
-                    s.delta_account,
-                )
+                (s.records.clone(), s.would, s.max_t_ns, s.budget_account)
             }
-            None => (Vec::new(), 0, 0, None, None),
+            None => (Vec::new(), 0, 0, None),
         };
         let mut out = String::new();
         let _ = writeln!(
@@ -577,22 +550,6 @@ impl Journal {
                 b.would_have_run,
                 opt(b.cutoff_seq),
                 b.runs_cut
-            );
-        }
-        if let Some(d) = delta {
-            let _ = write!(
-                out,
-                r#","delta":{{"lookups":{},"full_hits":{},"resumes":{},"misses":{},"calls_replayed":{},"calls_resimulated":{},"stored":{},"evictions":{},"entries":{},"bytes_held":{}}}"#,
-                d.lookups,
-                d.full_hits,
-                d.resumes,
-                d.misses,
-                d.calls_replayed,
-                d.calls_resimulated,
-                d.stored,
-                d.evictions,
-                d.entries,
-                d.bytes_held
             );
         }
         out.push_str("}}\n");
@@ -990,43 +947,6 @@ mod tests {
             plain.lines().count(),
             text.lines().count(),
             "budget adds no lines"
-        );
-    }
-
-    #[test]
-    fn delta_account_lands_inside_the_footer_object() {
-        let j = Journal::new(2);
-        emit_call(&j, 50);
-        let plain = j.to_jsonl("x", 1);
-        assert!(!plain.lines().last().unwrap().contains("delta"));
-
-        j.set_delta_account(DeltaAccount {
-            lookups: 4,
-            full_hits: 2,
-            resumes: 1,
-            misses: 1,
-            calls_replayed: 700,
-            calls_resimulated: 200,
-            stored: 2,
-            evictions: 0,
-            entries: 2,
-            bytes_held: 4096,
-        });
-        assert_eq!(j.delta_account().unwrap().full_hits, 2);
-        let text = j.to_jsonl("x", 1);
-        let footer = text.lines().last().unwrap();
-        assert!(
-            footer.contains(
-                r#""delta":{"lookups":4,"full_hits":2,"resumes":1,"misses":1,"calls_replayed":700,"calls_resimulated":200,"stored":2,"evictions":0,"entries":2,"bytes_held":4096}"#
-            ),
-            "{footer}"
-        );
-        assert!(footer.starts_with(r#"{"account":{"events":"#));
-        assert!(footer.ends_with("}}"));
-        assert_eq!(
-            plain.lines().count(),
-            text.lines().count(),
-            "delta adds no lines"
         );
     }
 

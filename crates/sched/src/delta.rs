@@ -9,11 +9,13 @@
 //! run was driven by, its full decision outcome, the policy's final
 //! state, and periodic resume snapshots of the whole simulation state
 //! keyed by call index. A later run with the same base key
-//! (slots/prefetch/policy identity + initial state, and under faults
-//! the recovery-policy knobs) finds the first call where its inputs
-//! diverge from a memoized skeleton, replays the shared prefix as one
-//! closed-form jump (clone the snapshot, copy the memoized outcome
-//! prefix), and re-simulates longhand only from the divergence point.
+//! (slots/prefetch/policy identity + initial state, whether the plan is
+//! armed, and the recovery-policy knobs) finds the first call where its
+//! inputs diverge from a memoized skeleton, replays the shared prefix
+//! as one closed-form jump (clone the snapshot, copy the memoized
+//! outcome prefix), and re-simulates longhand only from the divergence
+//! point. Clean runs are the disarmed-plan case of the same skeletons;
+//! the armed flag in the key keeps them apart from faulty ones.
 //!
 //! Divergence predicates per swept parameter:
 //!
@@ -30,7 +32,6 @@
 //!   (same seed, different rates) keep the first disagreement late
 //!   for adjacent rates. The blind variant of this predicate —
 //!   compare *every* reachable draw — is [`FaultPlan::agrees_at`];
-//!   the executor layer uses it where no decision trace is at hand;
 //! * **clairvoyance** — policies whose decisions consult the *future*
 //!   ([`Policy::delta_prefix_safe`] = false, e.g. Belady) only reuse
 //!   a skeleton when the entire trace matches.
@@ -47,9 +48,8 @@ use hprc_obs::delta::bytes as dbytes;
 use hprc_obs::DeltaCache;
 
 use crate::cache::{CacheStats, ConfigCache, TaskId};
-use crate::faulty::{simulate_faulty_inner, FaultyOutcome, FaultySim};
+use crate::faulty::{simulate_longhand, FaultyOutcome, FaultySim};
 use crate::policy::Policy;
-use crate::simulate::{simulate_inner, CleanSim, SimulationOutcome};
 
 /// Snapshot cadence: a resume snapshot is captured before every
 /// `SNAPSHOT_EVERY`-th call, bounding re-simulation after a replay to
@@ -77,163 +77,11 @@ fn sorted_tasks(s: &std::collections::HashSet<TaskId>) -> Vec<TaskId> {
     v
 }
 
-// ---------------------------------------------------------------------------
-// Clean skeletons
-// ---------------------------------------------------------------------------
-
-/// One clean simulation state, frozen before call `i`.
-pub(crate) struct CleanSnapshot {
-    i: usize,
-    cache: ConfigCache,
-    policy: Vec<u8>,
-    speculative: Vec<TaskId>,
-    stats: CacheStats,
-}
-
-/// One memoized clean run.
-pub(crate) struct CleanSkeleton {
-    trace: Vec<TaskId>,
-    outcome: SimulationOutcome,
-    final_policy: Vec<u8>,
-    snapshots: Vec<Arc<CleanSnapshot>>,
-    prefix_safe: bool,
-}
-
-fn clean_base_key(slots: usize, prefetch: bool, name: &str, policy0: &[u8]) -> Vec<u8> {
-    let mut k = Vec::with_capacity(64 + policy0.len());
-    dbytes::put_str(&mut k, "sched.clean");
-    dbytes::put_u64(&mut k, slots as u64);
-    dbytes::put_u64(&mut k, prefetch as u64);
-    dbytes::put_str(&mut k, name);
-    dbytes::put_slice(&mut k, policy0);
-    k
-}
-
-fn clean_variant_bytes(vs: &[Arc<CleanSkeleton>]) -> u64 {
-    vs.iter()
-        .map(|sk| {
-            let snaps: usize = sk
-                .snapshots
-                .iter()
-                .map(|s| 64 + s.cache.slot_count() * 16 + s.policy.len() + s.speculative.len() * 8)
-                .sum();
-            (sk.trace.len() * 8 + sk.outcome.outcomes.len() * 24 + sk.final_policy.len() + snaps)
-                as u64
-                + 128
-        })
-        .sum()
-}
-
-/// The memoizing clean-simulation entry point; behaviorally identical
-/// to [`simulate_inner`] call for call.
-pub(crate) fn simulate_clean_delta(
-    trace: &[TaskId],
-    slots: usize,
-    policy: &mut dyn Policy,
-    prefetch: bool,
-    delta: &DeltaCache,
-) -> SimulationOutcome {
-    let Some(policy0) = policy.delta_state() else {
-        // The policy opted out of memoization: longhand, invisible to
-        // the cache (no lookup counted).
-        return simulate_inner(trace, slots, policy, prefetch);
-    };
-    let key = clean_base_key(slots, prefetch, policy.name(), &policy0);
-    let variants: Option<Arc<Vec<Arc<CleanSkeleton>>>> =
-        delta.get(&key).and_then(|v| v.downcast().ok());
-
-    policy.observe_trace(trace);
-
-    // Whole-trace match: the entire run replays as one clone. (Safe
-    // even for clairvoyant policies — same trace, same future.)
-    if let Some(vs) = &variants {
-        if let Some(sk) = vs.iter().find(|sk| sk.trace == trace) {
-            if policy.delta_restore(&sk.final_policy) {
-                delta.note_full_hit(trace.len() as u64);
-                return sk.outcome.clone();
-            }
-        }
-    }
-
-    // First divergence against the variant sharing the longest prefix.
-    let mut best: Option<(usize, &Arc<CleanSkeleton>)> = None;
-    if let Some(vs) = &variants {
-        for sk in vs.iter().filter(|sk| sk.prefix_safe) {
-            let d = first_mismatch(&sk.trace, trace);
-            if d > 0 && best.is_none_or(|(bd, _)| d > bd) {
-                best = Some((d, sk));
-            }
-        }
-    }
-
-    let mut sim = CleanSim::new(slots);
-    sim.outcomes.reserve(trace.len());
-    let mut start = 0usize;
-    let mut snapshots: Vec<Arc<CleanSnapshot>> = Vec::new();
-    if let Some((d, sk)) = best {
-        if let Some(snap) = sk.snapshots.iter().rev().find(|s| s.i <= d) {
-            if policy.delta_restore(&snap.policy) {
-                sim.cache = snap.cache.clone();
-                sim.stats = snap.stats;
-                sim.outcomes
-                    .extend_from_slice(&sk.outcome.outcomes[..snap.i]);
-                sim.speculative = snap.speculative.iter().copied().collect();
-                start = snap.i;
-                // Prefix snapshots precede the divergence, so they
-                // stay valid for the new trace's skeleton too.
-                snapshots.extend(sk.snapshots.iter().filter(|s| s.i <= snap.i).cloned());
-            }
-        }
-    }
-    if start == 0 {
-        delta.note_miss(trace.len() as u64);
-    } else {
-        delta.note_resume(start as u64, (trace.len() - start) as u64);
-    }
-
-    for (i, &task) in trace.iter().enumerate().skip(start) {
-        if i > start && i % SNAPSHOT_EVERY == 0 {
-            if let Some(pb) = policy.delta_state() {
-                snapshots.push(Arc::new(CleanSnapshot {
-                    i,
-                    cache: sim.cache.clone(),
-                    policy: pb,
-                    speculative: sorted_tasks(&sim.speculative),
-                    stats: sim.stats,
-                }));
-            }
-        }
-        sim.step(i, task, policy, prefetch);
-    }
-
-    let final_policy = policy.delta_state().unwrap_or_default();
-    let outcome = sim.finish();
-    let mut vs: Vec<Arc<CleanSkeleton>> = variants.map(|v| (*v).clone()).unwrap_or_default();
-    vs.retain(|sk| sk.trace != trace);
-    while vs.len() >= MAX_VARIANTS {
-        vs.remove(0);
-    }
-    vs.push(Arc::new(CleanSkeleton {
-        trace: trace.to_vec(),
-        outcome: outcome.clone(),
-        final_policy,
-        snapshots,
-        prefix_safe: policy.delta_prefix_safe(),
-    }));
-    let bytes = clean_variant_bytes(&vs);
-    delta.put(key, Arc::new(vs), bytes);
-    outcome
-}
-
-// ---------------------------------------------------------------------------
-// Faulty skeletons
-// ---------------------------------------------------------------------------
-
-/// One faulty simulation state, frozen before call `i`. The embedded
+/// One simulation state, frozen before call `i`. The embedded
 /// [`FaultState`](hprc_fault::FaultState) is re-pointed at the new
 /// run's plan on restore (valid because the snapshot precedes the
 /// first plan disagreement).
-pub(crate) struct FaultySnapshot {
+pub(crate) struct Snapshot {
     i: usize,
     cache: ConfigCache,
     state: hprc_fault::FaultState,
@@ -245,31 +93,29 @@ pub(crate) struct FaultySnapshot {
     dropped: u64,
 }
 
-/// One memoized faulty run: the plan it was driven by is kept for the
+/// One memoized run: the plan it was driven by is kept for the
 /// divergence scan, not in the key — adjacent fault rates share a
-/// seed, so their draws agree over a long prefix.
-pub(crate) struct FaultySkeleton {
+/// seed, so their draws agree over a long prefix. A disarmed run
+/// records no fates.
+pub(crate) struct Skeleton {
     trace: Vec<TaskId>,
     plan: FaultPlan,
     outcome: FaultyOutcome,
     final_policy: Vec<u8>,
-    snapshots: Vec<Arc<FaultySnapshot>>,
+    snapshots: Vec<Arc<Snapshot>>,
     prefix_safe: bool,
 }
 
-fn faulty_base_key(
-    slots: usize,
-    prefetch: bool,
-    name: &str,
-    policy0: &[u8],
-    plan: &FaultPlan,
-) -> Vec<u8> {
-    let mut k = Vec::with_capacity(96 + policy0.len());
-    dbytes::put_str(&mut k, "sched.faulty");
+fn base_key(slots: usize, prefetch: bool, name: &str, policy0: &[u8], plan: &FaultPlan) -> Vec<u8> {
+    let mut k = Vec::with_capacity(104 + policy0.len());
+    dbytes::put_str(&mut k, "sched.skeleton");
     dbytes::put_u64(&mut k, slots as u64);
     dbytes::put_u64(&mut k, prefetch as u64);
     dbytes::put_str(&mut k, name);
     dbytes::put_slice(&mut k, policy0);
+    // Clean and faulty skeletons never meet: a clean run records no
+    // fates for the divergence scan to consult.
+    dbytes::put_u64(&mut k, plan.armed() as u64);
     // The recovery-policy knobs shape the state machine itself (retry
     // depths, blacklisting), so they partition the key space; the
     // spec probabilities and seed are left to the divergence scan.
@@ -311,7 +157,7 @@ fn consulted_draws_agree(
     (0..slots).all(|s| a.seu_strikes(call, s) == b.seu_strikes(call, s))
 }
 
-fn faulty_variant_bytes(vs: &[Arc<FaultySkeleton>]) -> u64 {
+fn variant_bytes(vs: &[Arc<Skeleton>]) -> u64 {
     vs.iter()
         .map(|sk| {
             let snaps: usize = sk
@@ -329,9 +175,10 @@ fn faulty_variant_bytes(vs: &[Arc<FaultySkeleton>]) -> u64 {
         .sum()
 }
 
-/// The memoizing faulty-simulation entry point; behaviorally identical
-/// to [`simulate_faulty_inner`] call for call.
-pub(crate) fn simulate_faulty_delta(
+/// The memoizing simulation entry point; behaviorally identical to
+/// [`simulate_longhand`] call for call. `plan` is either armed or
+/// exactly [`FaultPlan::disarmed`].
+pub(crate) fn simulate_delta(
     trace: &[TaskId],
     slots: usize,
     policy: &mut dyn Policy,
@@ -340,11 +187,12 @@ pub(crate) fn simulate_faulty_delta(
     delta: &DeltaCache,
 ) -> FaultyOutcome {
     let Some(policy0) = policy.delta_state() else {
-        return simulate_faulty_inner(trace, slots, policy, prefetch, plan);
+        // The policy opted out of memoization: longhand, invisible to
+        // the cache (no lookup counted).
+        return simulate_longhand(trace, slots, policy, prefetch, plan);
     };
-    let key = faulty_base_key(slots, prefetch, policy.name(), &policy0, plan);
-    let variants: Option<Arc<Vec<Arc<FaultySkeleton>>>> =
-        delta.get(&key).and_then(|v| v.downcast().ok());
+    let key = base_key(slots, prefetch, policy.name(), &policy0, plan);
+    let variants: Option<Arc<Vec<Arc<Skeleton>>>> = delta.get(&key).and_then(|v| v.downcast().ok());
 
     policy.observe_trace(trace);
 
@@ -352,8 +200,9 @@ pub(crate) fn simulate_faulty_delta(
     // the first call where a draw the memoized run consulted resolves
     // differently under the new plan. Hits consult nothing; a miss
     // consults exactly the attempts its fate records; the SEU sweep
-    // is compared conservatively over all slots.
-    let divergence = |sk: &FaultySkeleton| -> usize {
+    // is compared conservatively over all slots. Equal plans (every
+    // clean run) stop at the trace mismatch.
+    let divergence = |sk: &Skeleton| -> usize {
         let d = first_mismatch(&sk.trace, trace);
         if sk.plan == *plan {
             return d;
@@ -373,6 +222,7 @@ pub(crate) fn simulate_faulty_delta(
     };
 
     // Whole-run match: equal traces and plan agreement at every call.
+    // (Safe even for clairvoyant policies — same trace, same future.)
     if let Some(vs) = &variants {
         if let Some(sk) = vs
             .iter()
@@ -385,7 +235,8 @@ pub(crate) fn simulate_faulty_delta(
         }
     }
 
-    let mut best: Option<(usize, &Arc<FaultySkeleton>)> = None;
+    // First divergence against the variant sharing the longest prefix.
+    let mut best: Option<(usize, &Arc<Skeleton>)> = None;
     if let Some(vs) = &variants {
         for sk in vs.iter().filter(|sk| sk.prefix_safe) {
             let d = divergence(sk);
@@ -395,11 +246,9 @@ pub(crate) fn simulate_faulty_delta(
         }
     }
 
-    let mut sim = FaultySim::new(*plan, slots);
-    sim.outcomes.reserve(trace.len());
-    sim.fates.reserve(trace.len());
+    let mut sim = FaultySim::new(*plan, slots, trace.len());
     let mut start = 0usize;
-    let mut snapshots: Vec<Arc<FaultySnapshot>> = Vec::new();
+    let mut snapshots: Vec<Arc<Snapshot>> = Vec::new();
     if let Some((d, sk)) = best {
         if let Some(snap) = sk.snapshots.iter().rev().find(|s| s.i <= d) {
             if policy.delta_restore(&snap.policy) {
@@ -413,12 +262,16 @@ pub(crate) fn simulate_faulty_delta(
                 sim.stats = snap.stats;
                 sim.outcomes
                     .extend_from_slice(&sk.outcome.base.outcomes[..snap.i]);
-                sim.fates.extend_from_slice(&sk.outcome.fates[..snap.i]);
+                if sim.armed {
+                    sim.fates.extend_from_slice(&sk.outcome.fates[..snap.i]);
+                }
                 sim.speculative = snap.speculative.iter().copied().collect();
                 sim.seu_invalidations = snap.seu_invalidations;
                 sim.escalation_wipes = snap.escalation_wipes;
                 sim.dropped = snap.dropped;
                 start = snap.i;
+                // Prefix snapshots precede the divergence, so they
+                // stay valid for the new run's skeleton too.
                 snapshots.extend(sk.snapshots.iter().filter(|s| s.i <= snap.i).cloned());
             }
         }
@@ -432,7 +285,7 @@ pub(crate) fn simulate_faulty_delta(
     for (i, &task) in trace.iter().enumerate().skip(start) {
         if i > start && i % SNAPSHOT_EVERY == 0 {
             if let Some(pb) = policy.delta_state() {
-                snapshots.push(Arc::new(FaultySnapshot {
+                snapshots.push(Arc::new(Snapshot {
                     i,
                     cache: sim.cache.clone(),
                     state: sim.state.clone(),
@@ -450,12 +303,12 @@ pub(crate) fn simulate_faulty_delta(
 
     let final_policy = policy.delta_state().unwrap_or_default();
     let outcome = sim.finish();
-    let mut vs: Vec<Arc<FaultySkeleton>> = variants.map(|v| (*v).clone()).unwrap_or_default();
+    let mut vs: Vec<Arc<Skeleton>> = variants.map(|v| (*v).clone()).unwrap_or_default();
     vs.retain(|sk| !(sk.trace == trace && sk.plan == *plan));
     while vs.len() >= MAX_VARIANTS {
         vs.remove(0);
     }
-    vs.push(Arc::new(FaultySkeleton {
+    vs.push(Arc::new(Skeleton {
         trace: trace.to_vec(),
         plan: *plan,
         outcome: outcome.clone(),
@@ -463,7 +316,7 @@ pub(crate) fn simulate_faulty_delta(
         snapshots,
         prefix_safe: policy.delta_prefix_safe(),
     }));
-    let bytes = faulty_variant_bytes(&vs);
+    let bytes = variant_bytes(&vs);
     delta.put(key, Arc::new(vs), bytes);
     outcome
 }
@@ -679,6 +532,28 @@ mod tests {
             assert_eq!(with, without, "warm rate {rate}");
         }
         assert_eq!(delta.account().unwrap().full_hits, 4);
+    }
+
+    #[test]
+    fn clean_and_armed_skeletons_never_meet() {
+        let delta = DeltaCache::new(1 << 22);
+        let dctx = ExecCtx::default().with_delta(delta.clone());
+        let trace = cycle_trace(4, 150);
+        let clean = simulate(&trace, 3, &mut Lru::new(), false, &dctx);
+        // An unarmed plan with its own seed normalizes to the disarmed
+        // plan: the clean skeleton replays whole.
+        let unarmed = FaultPlan::new(FaultSpec::default(), RecoveryPolicy::default(), 42);
+        let quiet = simulate_faulty(&trace, 3, &mut Lru::new(), false, &unarmed, &dctx);
+        assert_eq!(quiet.base, clean);
+        assert!(quiet.fates.iter().all(|f| f.is_clean()));
+        assert_eq!(quiet.fates.len(), trace.len());
+        assert_eq!(delta.account().unwrap().full_hits, 1);
+        // An armed plan keys apart, even where it never fires.
+        let armed = FaultPlan::new(FaultSpec::uniform(1e-12), RecoveryPolicy::default(), 42);
+        let faulty = simulate_faulty(&trace, 3, &mut Lru::new(), false, &armed, &dctx);
+        assert_eq!(faulty.base, clean);
+        let acct = delta.account().unwrap();
+        assert_eq!((acct.full_hits, acct.resumes, acct.misses), (1, 0, 2));
     }
 
     #[test]

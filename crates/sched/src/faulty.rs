@@ -1,5 +1,7 @@
-//! Fault-aware cache simulation: [`simulate`](crate::simulate::simulate)
-//! extended with the `hprc-fault` recovery state machine.
+//! Fault-aware cache simulation: the one simulation core. A clean
+//! [`simulate`](crate::simulate::simulate) is this core under
+//! [`FaultPlan::disarmed`], where every fate is clean and no draw can
+//! fire.
 //!
 //! Three things distinguish a faulty run from a clean one:
 //!
@@ -32,7 +34,7 @@ use hprc_fault::{CallFate, FaultPlan, FaultState};
 
 use crate::cache::{CacheStats, ConfigCache, TaskId};
 use crate::policy::Policy;
-use crate::simulate::{record_outcome, simulate, CallOutcome, SimulationOutcome};
+use crate::simulate::{record_outcome, CallOutcome, SimulationOutcome};
 
 /// Result of one fault-injecting cache simulation.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -76,13 +78,15 @@ fn first_usable(state: &FaultState, slots: usize) -> usize {
     (0..slots).find(|&s| !state.is_blacklisted(s)).unwrap_or(0)
 }
 
-/// The resumable core of a fault-injecting simulation — the faulty
-/// sibling of [`CleanSim`](crate::simulate::CleanSim). The delta layer
+/// The resumable core of every cache simulation: all mutable run state
+/// in one struct, advanced one call at a time. The delta layer
 /// snapshots and restores it mid-trace (swapping in the sweep point's
-/// own plan via [`FaultState::set_plan`]); the plain path drives it
-/// start to finish.
+/// own plan via [`FaultState::set_plan`]); the longhand path drives it
+/// start to finish. Per-call fates are recorded under an armed plan
+/// only: a disarmed run's fates are all clean.
 pub(crate) struct FaultySim {
     pub(crate) slots: usize,
+    pub(crate) armed: bool,
     pub(crate) state: FaultState,
     pub(crate) cache: ConfigCache,
     pub(crate) stats: CacheStats,
@@ -95,14 +99,17 @@ pub(crate) struct FaultySim {
 }
 
 impl FaultySim {
-    pub(crate) fn new(plan: FaultPlan, slots: usize) -> Self {
+    /// A fresh run over a `calls`-long trace.
+    pub(crate) fn new(plan: FaultPlan, slots: usize, calls: usize) -> Self {
+        let armed = plan.armed();
         FaultySim {
             slots,
+            armed,
             state: FaultState::new(plan, slots),
             cache: ConfigCache::new(slots),
             stats: CacheStats::default(),
-            outcomes: Vec::new(),
-            fates: Vec::new(),
+            outcomes: Vec::with_capacity(calls),
+            fates: Vec::with_capacity(if armed { calls } else { 0 }),
             speculative: HashSet::new(),
             seu_invalidations: 0,
             escalation_wipes: 0,
@@ -126,7 +133,8 @@ impl FaultySim {
             _ => {
                 self.stats.misses += 1;
                 self.speculative.remove(&task);
-                // Demand slot choice, redirected away from retired PRRs.
+                // Demand slot choice, redirected away from retired PRRs;
+                // a forced miss on a resident task reconfigures in place.
                 // With every PRR blacklisted the chain is forced full;
                 // slot 0 is the conventional (unusable) target, and the
                 // simulator's own FaultState derives the same fate from
@@ -177,7 +185,9 @@ impl FaultySim {
         };
         policy.on_access(task, slot, i);
         self.outcomes.push(outcome);
-        self.fates.push(fate);
+        if self.armed {
+            self.fates.push(fate);
+        }
 
         // SEU sweep: seeded upsets silently corrupt resident slots; the
         // eviction is how the (detected-on-next-use) corruption becomes
@@ -230,16 +240,15 @@ impl FaultySim {
     }
 }
 
-pub(crate) fn simulate_faulty_inner(
+/// Simulates the whole trace longhand.
+pub(crate) fn simulate_longhand(
     trace: &[TaskId],
     slots: usize,
     policy: &mut dyn Policy,
     prefetch: bool,
     plan: &FaultPlan,
 ) -> FaultyOutcome {
-    let mut sim = FaultySim::new(*plan, slots);
-    sim.outcomes.reserve(trace.len());
-    sim.fates.reserve(trace.len());
+    let mut sim = FaultySim::new(*plan, slots, trace.len());
     policy.observe_trace(trace);
     for (i, &task) in trace.iter().enumerate() {
         sim.step(i, task, policy, prefetch);
@@ -247,22 +256,14 @@ pub(crate) fn simulate_faulty_inner(
     sim.finish()
 }
 
-/// Runs `trace` through a cache of `slots` PRRs under `policy` with the
-/// fault plan armed. A disarmed (or all-zero) plan delegates to
-/// [`simulate`] and is observably identical to it — same outcome, same
-/// metrics, all fates clean.
-///
-/// Beyond [`simulate`]'s per-policy instruments, an armed run records:
-///
-/// * counters `sched.fault.seu_invalidations` / `.escalation_wipes` /
-///   `.dropped`;
-/// * gauge `sched.fault.blacklisted_slots`.
-///
-/// # Panics
-///
-/// Panics when `slots == 0` (as [`simulate`] does); everything the
-/// fault machinery adds is panic-free, including full blacklisting.
-pub fn simulate_faulty(
+/// The one instrumented driver behind
+/// [`simulate`](crate::simulate::simulate) and [`simulate_faulty`]:
+/// budget admission, delta dispatch, span and journal enter/exit, and
+/// metric recording. `plan` is either armed or exactly
+/// [`FaultPlan::disarmed`]; the disarmed run is the clean path, recorded
+/// under the `sched.simulate` names without any `sched.fault.*`
+/// instrument.
+pub(crate) fn drive(
     trace: &[TaskId],
     slots: usize,
     policy: &mut dyn Policy,
@@ -270,41 +271,34 @@ pub fn simulate_faulty(
     plan: &FaultPlan,
     ctx: &hprc_ctx::ExecCtx,
 ) -> FaultyOutcome {
-    if !plan.armed() {
-        let base = simulate(trace, slots, policy, prefetch, ctx);
-        let fates = vec![CallFate::clean_partial(); base.outcomes.len()];
-        return FaultyOutcome {
-            base,
-            fates,
-            seu_invalidations: 0,
-            escalation_wipes: 0,
-            blacklisted_slots: 0,
-            dropped: 0,
-        };
-    }
-
+    let armed = plan.armed();
+    let name = if armed {
+        "sched.simulate_faulty"
+    } else {
+        "sched.simulate"
+    };
     let registry = &ctx.registry;
-    let _span = registry.span("sched.simulate_faulty");
+    let _span = registry.span(name);
     let j = &ctx.journal;
-    let js = j.enter("sched.simulate_faulty", 0, 0);
+    let js = j.enter(name, 0, 0);
 
-    // Budget hook, mirroring `simulate`: one charged event per call,
-    // deterministic truncation of the refused tail.
-    let admitted = ctx.budget.admit(trace.len());
-    let trace = &trace[..admitted];
+    // Budget hook: each call is one charged event. The refused tail is
+    // dropped deterministically (same cutoff sequence on every rerun)
+    // and tallied as would-have-run; an unlimited budget admits all.
+    let trace = &trace[..ctx.budget.admit(trace.len())];
 
     // Delta path: memoized skeletons replay shared prefixes of earlier
     // runs (with the first plan disagreement bounding the replay). All
     // recording below derives from the outcome alone, so the swap is
     // invisible to every artifact — including instrumented runs.
     let out = if ctx.delta.is_enabled() {
-        crate::delta::simulate_faulty_delta(trace, slots, policy, prefetch, plan, &ctx.delta)
+        crate::delta::simulate_delta(trace, slots, policy, prefetch, plan, &ctx.delta)
     } else {
-        simulate_faulty_inner(trace, slots, policy, prefetch, plan)
+        simulate_longhand(trace, slots, policy, prefetch, plan)
     };
 
     record_outcome(registry, policy.name(), &out.base);
-    if registry.is_enabled() {
+    if armed && registry.is_enabled() {
         registry
             .counter("sched.fault.seu_invalidations")
             .add(out.seu_invalidations);
@@ -319,10 +313,45 @@ pub fn simulate_faulty(
     j.metric("sched.calls", out.base.stats.calls);
     j.metric("sched.hits", out.base.stats.hits);
     j.metric("sched.misses", out.base.stats.misses);
-    j.metric("sched.fault.seu_invalidations", out.seu_invalidations);
-    j.metric("sched.fault.escalation_wipes", out.escalation_wipes);
-    j.metric("sched.fault.dropped", out.dropped);
+    if armed {
+        j.metric("sched.fault.seu_invalidations", out.seu_invalidations);
+        j.metric("sched.fault.escalation_wipes", out.escalation_wipes);
+        j.metric("sched.fault.dropped", out.dropped);
+    }
     j.exit(js, 0);
+    out
+}
+
+/// Runs `trace` through a cache of `slots` PRRs under `policy` with the
+/// fault plan armed. A disarmed (or all-zero) plan is normalized to
+/// [`FaultPlan::disarmed`] and runs exactly [`simulate`] — same outcome,
+/// same metrics, same delta skeletons — with every fate clean.
+///
+/// Beyond [`simulate`]'s per-policy instruments, an armed run records:
+///
+/// * counters `sched.fault.seu_invalidations` / `.escalation_wipes` /
+///   `.dropped`;
+/// * gauge `sched.fault.blacklisted_slots`.
+///
+/// # Panics
+///
+/// Panics when `slots == 0` (as [`simulate`] does); everything the
+/// fault machinery adds is panic-free, including full blacklisting.
+///
+/// [`simulate`]: crate::simulate::simulate
+pub fn simulate_faulty(
+    trace: &[TaskId],
+    slots: usize,
+    policy: &mut dyn Policy,
+    prefetch: bool,
+    plan: &FaultPlan,
+    ctx: &hprc_ctx::ExecCtx,
+) -> FaultyOutcome {
+    if plan.armed() {
+        return drive(trace, slots, policy, prefetch, plan, ctx);
+    }
+    let mut out = drive(trace, slots, policy, prefetch, &FaultPlan::disarmed(), ctx);
+    out.fates = vec![CallFate::clean_partial(); out.base.outcomes.len()];
     out
 }
 
@@ -330,6 +359,7 @@ pub fn simulate_faulty(
 mod tests {
     use super::*;
     use crate::policies::{Lru, Markov};
+    use crate::simulate::simulate;
     use hprc_fault::{FaultSpec, RecoveryPolicy};
 
     fn ids(v: &[usize]) -> Vec<TaskId> {

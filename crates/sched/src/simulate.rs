@@ -2,11 +2,10 @@
 //! policy and measures the achieved hit ratio `H` — turning the model's
 //! free parameter into a measured quantity.
 
-use std::collections::HashSet;
-
+use hprc_fault::FaultPlan;
 use serde::{Deserialize, Serialize};
 
-use crate::cache::{CacheStats, ConfigCache, TaskId};
+use crate::cache::{CacheStats, TaskId};
 use crate::policy::Policy;
 
 /// Outcome of one task call.
@@ -50,7 +49,9 @@ impl SimulationOutcome {
     }
 }
 
-/// Runs `trace` through a cache of `slots` PRRs under `policy`.
+/// Runs `trace` through a cache of `slots` PRRs under `policy`: the
+/// fault-aware core of [`simulate_faulty`](crate::faulty::simulate_faulty)
+/// under [`FaultPlan::disarmed`].
 ///
 /// When `prefetch` is true, the policy's [`Policy::predict_next`] hint is
 /// used after every call to speculatively load the predicted next task into
@@ -87,33 +88,10 @@ pub fn simulate(
     prefetch: bool,
     ctx: &hprc_ctx::ExecCtx,
 ) -> SimulationOutcome {
-    let registry = &ctx.registry;
-    let _span = registry.span("sched.simulate");
-    let j = &ctx.journal;
-    let js = j.enter("sched.simulate", 0, 0);
-    // Budget hook: each call is one charged event. The refused tail is
-    // dropped deterministically (same cutoff sequence on every rerun)
-    // and tallied as would-have-run; an unlimited budget admits all.
-    let admitted = ctx.budget.admit(trace.len());
-    // Delta path: memoized skeletons replay shared prefixes of earlier
-    // runs. Replays are byte-identical to longhand simulation, and all
-    // recording below derives from the outcome alone, so the swap is
-    // invisible to every artifact — including instrumented runs.
-    let outcome = if ctx.delta.is_enabled() {
-        crate::delta::simulate_clean_delta(&trace[..admitted], slots, policy, prefetch, &ctx.delta)
-    } else {
-        simulate_inner(&trace[..admitted], slots, policy, prefetch)
-    };
-    record_outcome(registry, policy.name(), &outcome);
-    j.metric("sched.calls", outcome.stats.calls);
-    j.metric("sched.hits", outcome.stats.hits);
-    j.metric("sched.misses", outcome.stats.misses);
-    j.exit(js, 0);
-    outcome
+    crate::faulty::drive(trace, slots, policy, prefetch, &FaultPlan::disarmed(), ctx).base
 }
 
-/// Records one simulation's per-policy cache metrics (shared with the
-/// fault-injecting [`simulate_faulty`](crate::faulty::simulate_faulty)).
+/// Records one simulation's per-policy cache metrics.
 pub(crate) fn record_outcome(
     registry: &hprc_obs::Registry,
     policy_name: &str,
@@ -152,107 +130,6 @@ pub(crate) fn record_outcome(
     registry
         .gauge(&format!("{prefix}.hit_ratio"))
         .set(outcome.hit_ratio());
-}
-
-/// The resumable core of a clean simulation: all mutable run state in
-/// one struct, advanced one call at a time. The delta layer
-/// ([`crate::delta`]) snapshots and restores it mid-trace; the plain
-/// path just drives it start to finish.
-pub(crate) struct CleanSim {
-    pub(crate) cache: ConfigCache,
-    pub(crate) stats: CacheStats,
-    pub(crate) outcomes: Vec<CallOutcome>,
-    pub(crate) speculative: HashSet<TaskId>,
-}
-
-impl CleanSim {
-    pub(crate) fn new(slots: usize) -> Self {
-        CleanSim {
-            cache: ConfigCache::new(slots),
-            stats: CacheStats::default(),
-            outcomes: Vec::new(),
-            speculative: HashSet::new(),
-        }
-    }
-
-    /// Processes call `i` of the trace (task `task`).
-    pub(crate) fn step(&mut self, i: usize, task: TaskId, policy: &mut dyn Policy, prefetch: bool) {
-        self.stats.calls += 1;
-        let resident_slot = self.cache.slot_of(task);
-        let outcome = match resident_slot {
-            Some(slot) if !policy.forces_miss() => {
-                self.stats.hits += 1;
-                if self.speculative.remove(&task) {
-                    self.stats.useful_prefetches += 1;
-                }
-                CallOutcome::Hit { slot }
-            }
-            _ => {
-                self.stats.misses += 1;
-                // A forced miss on a resident task reconfigures in place.
-                let slot = resident_slot
-                    .or_else(|| self.cache.empty_slot())
-                    .unwrap_or_else(|| policy.choose_victim(&self.cache, task, i));
-                let evicted = self.cache.load(slot, task);
-                if let Some(e) = evicted {
-                    self.speculative.remove(&e);
-                }
-                self.speculative.remove(&task);
-                policy.on_load(task, slot, i);
-                CallOutcome::Miss {
-                    slot,
-                    evicted: evicted.filter(|&e| e != task),
-                }
-            }
-        };
-        let slot = match outcome {
-            CallOutcome::Hit { slot } | CallOutcome::Miss { slot, .. } => slot,
-        };
-        policy.on_access(task, slot, i);
-        self.outcomes.push(outcome);
-
-        if prefetch {
-            if let Some(pred) = policy.predict_next(task) {
-                if pred != task && !self.cache.contains(pred) {
-                    let target = self
-                        .cache
-                        .empty_slot()
-                        .unwrap_or_else(|| policy.choose_victim(&self.cache, pred, i));
-                    // Never evict the task that is executing right now.
-                    if Some(target) != self.cache.slot_of(task) {
-                        if let Some(e) = self.cache.load(target, pred) {
-                            self.speculative.remove(&e);
-                        }
-                        policy.on_load(pred, target, i);
-                        self.stats.prefetch_loads += 1;
-                        self.speculative.insert(pred);
-                    }
-                }
-            }
-        }
-    }
-
-    pub(crate) fn finish(self) -> SimulationOutcome {
-        SimulationOutcome {
-            stats: self.stats,
-            outcomes: self.outcomes,
-        }
-    }
-}
-
-pub(crate) fn simulate_inner(
-    trace: &[TaskId],
-    slots: usize,
-    policy: &mut dyn Policy,
-    prefetch: bool,
-) -> SimulationOutcome {
-    let mut sim = CleanSim::new(slots);
-    sim.outcomes.reserve(trace.len());
-    policy.observe_trace(trace);
-    for (i, &task) in trace.iter().enumerate() {
-        sim.step(i, task, policy, prefetch);
-    }
-    sim.finish()
 }
 
 #[cfg(test)]

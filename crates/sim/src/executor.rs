@@ -536,19 +536,6 @@ fn run_frtr_impl(
     enable_jump: bool,
     plan: Option<&FaultPlan>,
 ) -> Result<ExecutionReport, SimError> {
-    // Whole-run memo (see `crate::delta`): a disarmed plan takes the
-    // exact fault-free path, so it keys as `None`.
-    let plan_eff = plan.filter(|p| p.armed());
-    let memo_key = (enable_jump && ctx.delta.is_enabled())
-        .then(|| crate::delta::frtr_key(node, calls, plan_eff));
-    let replayable = memo_key.is_some() && crate::delta::replay_allowed(ctx);
-    if replayable {
-        if let Some(r) = crate::delta::fetch(&ctx.delta, memo_key.as_deref().unwrap()) {
-            ctx.delta.note_full_hit(calls.len() as u64);
-            return Ok((*r).clone());
-        }
-    }
-
     let registry = &ctx.registry;
     let _span = registry.span("sim.run_frtr");
     let j = &ctx.journal;
@@ -564,7 +551,7 @@ fn run_frtr_impl(
 
     // Armed fault plan: pre-derive every call's fate (a pure function
     // of the plan). Disarmed plans take the exact fault-free path.
-    let plan = plan_eff;
+    let plan = plan.filter(|p| p.armed());
     let fates: Vec<CallFate> = plan
         .map(|p| (0..calls.len()).map(|i| p.full_fate(i as u64)).collect())
         .unwrap_or_default();
@@ -789,20 +776,13 @@ fn run_frtr_impl(
     }
     j.exit(jrun, now.0);
     timeline.record_metrics(registry, "sim.frtr");
-    let report = ExecutionReport {
+    Ok(ExecutionReport {
         total: now - SimTime::ZERO,
         n_config: calls.len() as u64 - n_dropped,
         calls: timings,
         timeline,
         n_dropped,
-    };
-    if let Some(key) = memo_key {
-        crate::delta::store(&ctx.delta, key, &report);
-        if replayable {
-            ctx.delta.note_miss(calls.len() as u64);
-        }
-    }
-    Ok(report)
+    })
 }
 
 /// Executes `calls` under **PRTR** with the per-call hit/miss outcomes and
@@ -899,19 +879,6 @@ fn run_prtr_impl(
         )));
     }
 
-    // Whole-run memo (see `crate::delta`): a disarmed plan takes the
-    // exact fault-free path, so it keys as `None`.
-    let plan_eff = plan.filter(|p| p.armed());
-    let memo_key = (enable_jump && ctx.delta.is_enabled())
-        .then(|| crate::delta::prtr_key(node, calls, plan_eff));
-    let replayable = memo_key.is_some() && crate::delta::replay_allowed(ctx);
-    if replayable {
-        if let Some(r) = crate::delta::fetch(&ctx.delta, memo_key.as_deref().unwrap()) {
-            ctx.delta.note_full_hit(calls.len() as u64);
-            return Ok((*r).clone());
-        }
-    }
-
     let _span = registry.span("sim.run_prtr");
     let j = &ctx.journal;
     let tid_host = Lane::Host.chrome_tid();
@@ -935,7 +902,7 @@ fn run_prtr_impl(
     // `(call index, slot)` stream, so escalations and blacklisting stay
     // in lockstep without any fate passing. Disarmed plans take the
     // exact fault-free path.
-    let plan = plan_eff;
+    let plan = plan.filter(|p| p.armed());
     let fates: Vec<CallFate> = plan
         .map(|p| {
             let mut state = FaultState::new(*p, node.n_prrs);
@@ -1330,20 +1297,13 @@ fn run_prtr_impl(
     let total = timings.last().expect("non-empty").exec_end - SimTime::ZERO;
     j.exit(jrun, timings.last().expect("non-empty").exec_end.0);
     timeline.record_metrics(registry, "sim.prtr");
-    let report = ExecutionReport {
+    Ok(ExecutionReport {
         total,
         calls: timings,
         timeline,
         n_config,
         n_dropped,
-    };
-    if let Some(key) = memo_key {
-        crate::delta::store(&ctx.delta, key, &report);
-        if replayable {
-            ctx.delta.note_miss(calls.len() as u64);
-        }
-    }
-    Ok(report)
+    })
 }
 
 /// Records the execution window plus its streaming data transfers.

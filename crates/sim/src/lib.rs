@@ -39,7 +39,6 @@
 #![warn(missing_docs)]
 
 pub mod cray_api;
-pub(crate) mod delta;
 pub mod engine;
 pub mod error;
 pub mod executor;

@@ -207,18 +207,6 @@ fn run_preemptive_impl(
         )));
     }
 
-    // Whole-run memo (see `crate::delta`): the rendered report is a
-    // pure function of (node, segments).
-    let memo_key =
-        (enable_jump && ctx.delta.is_enabled()).then(|| crate::delta::preempt_key(node, segments));
-    let replayable = memo_key.is_some() && crate::delta::replay_allowed(ctx);
-    if replayable {
-        if let Some(r) = crate::delta::fetch(&ctx.delta, memo_key.as_deref().unwrap()) {
-            ctx.delta.note_full_hit(segments.len() as u64);
-            return Ok((*r).clone());
-        }
-    }
-
     let _span = registry.span("sim.run_preemptive");
     let j = &ctx.journal;
     let tid_host = Lane::Host.chrome_tid();
@@ -481,18 +469,11 @@ fn run_preemptive_impl(
     }
     j.exit(jrun, end.0);
     timeline.record_metrics(registry, "sim.preempt");
-    let report = ExecutionReport {
+    Ok(ExecutionReport {
         total: end - SimTime::ZERO,
         calls: timings,
         timeline,
         n_config,
         n_dropped,
-    };
-    if let Some(key) = memo_key {
-        crate::delta::store(&ctx.delta, key, &report);
-        if replayable {
-            ctx.delta.note_miss(segments.len() as u64);
-        }
-    }
-    Ok(report)
+    })
 }
