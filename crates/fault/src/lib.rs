@@ -137,8 +137,8 @@ impl FaultSpec {
         }
     }
 
-    /// True if any site can fire. A disarmed spec short-circuits every
-    /// consumer to the exact clean code path.
+    /// True if any site can fire. Under a disarmed spec every fate is
+    /// clean, so every consumer runs exactly its clean path.
     pub fn armed(&self) -> bool {
         self.p_crc > 0.0
             || self.p_icap_timeout > 0.0
@@ -346,8 +346,8 @@ impl FaultPlan {
         FaultPlan::new(spec, policy, ctx.seed_for(FAULT_STREAM))
     }
 
-    /// The all-probabilities-zero plan: every consumer short-circuits
-    /// to its exact clean code path.
+    /// The all-probabilities-zero plan: every fate is clean, so every
+    /// consumer runs exactly its clean path.
     pub fn disarmed() -> Self {
         FaultPlan::new(FaultSpec::default(), RecoveryPolicy::default(), 0)
     }

@@ -50,6 +50,15 @@
 //! every jump, so a sequence with several periodic runs jumps several
 //! times. [`run_frtr_reference`] and [`run_prtr_reference`] expose the
 //! pure per-call path as the equivalence oracle.
+//!
+//! # Faults
+//!
+//! Each executor has one per-call body. Under an armed
+//! [`FaultPlan`] ([`run_frtr_faulty`], [`run_prtr_faulty`]) a faulty call
+//! differs from a clean one only in how its configuration window is
+//! laid out: the plan's attempt chain, with [`EventKind::Recovery`]
+//! backoff windows, instead of one vendor-API configure or one ICAP
+//! transfer. A disarmed plan is the clean path: every call is clean.
 
 use std::collections::HashMap;
 
@@ -476,16 +485,17 @@ pub fn run_frtr(
     calls: &[TaskCall],
     ctx: &ExecCtx,
 ) -> Result<ExecutionReport, SimError> {
-    run_frtr_impl(node, calls, ctx, true, None)
+    run_frtr_impl(node, calls, ctx, true, &FaultPlan::disarmed())
 }
 
 /// [`run_frtr`] with a fault plan armed: every call's full
 /// reconfiguration runs the plan's attempt chain (retries with
 /// exponential backoff, then a drop once `max_full_attempts` is
-/// exhausted). A disarmed plan takes the exact fault-free code path.
-/// The steady-state fast path stays enabled and jumps across fault-free
-/// stretches only — a faulty call can never sit inside a proven period,
-/// so the result is bit-identical to [`run_frtr_faulty_reference`].
+/// exhausted). A disarmed plan is the clean path: every call is clean
+/// and the run is exactly [`run_frtr`]'s. The steady-state fast path
+/// stays enabled and jumps across fault-free stretches only — a faulty
+/// call can never sit inside a proven period, so the result is
+/// bit-identical to [`run_frtr_faulty_reference`].
 ///
 /// # Errors
 ///
@@ -497,7 +507,7 @@ pub fn run_frtr_faulty(
     plan: &FaultPlan,
     ctx: &ExecCtx,
 ) -> Result<ExecutionReport, SimError> {
-    run_frtr_impl(node, calls, ctx, true, Some(plan))
+    run_frtr_impl(node, calls, ctx, true, plan)
 }
 
 /// The per-call oracle for [`run_frtr_faulty`]: same recurrence and
@@ -512,7 +522,7 @@ pub fn run_frtr_faulty_reference(
     plan: &FaultPlan,
     ctx: &ExecCtx,
 ) -> Result<ExecutionReport, SimError> {
-    run_frtr_impl(node, calls, ctx, false, Some(plan))
+    run_frtr_impl(node, calls, ctx, false, plan)
 }
 
 /// The per-call FRTR reference path: identical recurrence, no jumps.
@@ -526,7 +536,7 @@ pub fn run_frtr_reference(
     calls: &[TaskCall],
     ctx: &ExecCtx,
 ) -> Result<ExecutionReport, SimError> {
-    run_frtr_impl(node, calls, ctx, false, None)
+    run_frtr_impl(node, calls, ctx, false, &FaultPlan::disarmed())
 }
 
 fn run_frtr_impl(
@@ -534,7 +544,7 @@ fn run_frtr_impl(
     calls: &[TaskCall],
     ctx: &ExecCtx,
     enable_jump: bool,
-    plan: Option<&FaultPlan>,
+    plan: &FaultPlan,
 ) -> Result<ExecutionReport, SimError> {
     let registry = &ctx.registry;
     let _span = registry.span("sim.run_frtr");
@@ -549,13 +559,16 @@ fn run_frtr_impl(
     let t_control = SimDuration::from_secs_f64(node.control_overhead_s);
     let full_bytes = node.full_config.full_bitstream_bytes;
 
-    // Armed fault plan: pre-derive every call's fate (a pure function
-    // of the plan). Disarmed plans take the exact fault-free path.
-    let plan = plan.filter(|p| p.armed());
-    let fates: Vec<CallFate> = plan
-        .map(|p| (0..calls.len()).map(|i| p.full_fate(i as u64)).collect())
-        .unwrap_or_default();
-    let fm = plan.map(|_| FaultMetrics::new(registry, "sim.frtr"));
+    // An armed plan pre-derives every call's fate (a pure function of
+    // the plan); under a disarmed one every call is clean.
+    let armed = plan.armed();
+    let fates: Vec<CallFate> = if armed {
+        (0..calls.len()).map(|i| plan.full_fate(i as u64)).collect()
+    } else {
+        Vec::new()
+    };
+    let fate_of = |i: usize| fates.get(i).copied().unwrap_or_else(CallFate::clean_full);
+    let fm = armed.then(|| FaultMetrics::new(registry, "sim.frtr"));
     let t_frtr_clean_s = node.full_config.full_configuration_time_s();
 
     // Keys carry a salt: 0 for fault-free fates, a unique per-index
@@ -567,9 +580,10 @@ fn run_frtr_impl(
             .iter()
             .enumerate()
             .map(|(i, c)| {
-                let salt = match plan {
-                    Some(_) if !fates[i].is_clean() => i as u64 + 1,
-                    _ => 0,
+                let salt = if fate_of(i).is_clean() {
+                    0
+                } else {
+                    i as u64 + 1
                 };
                 (
                     FrtrKey {
@@ -644,21 +658,39 @@ fn run_frtr_impl(
         }
 
         let call = &calls[i];
-
-        // Faulty call: lay out its recovery chain instead of the plain
-        // configure. Clean-fated calls fall through to the unchanged
-        // fault-free body (and stay jumpable).
-        if let Some(p) = plan {
-            let fate = fates[i];
-            if !fate.is_clean() {
-                let cs = now;
-                let jcall = j.open(call.name.as_str(), jrun, cs.0, tid_host);
+        let fate = fate_of(i);
+        let cs = now;
+        // A clean call is one vendor-API configure (a full bitstream
+        // resets the device, so DONE is irrelevant here); it runs before
+        // the call span opens.
+        let clean_d = if fate.is_clean() {
+            Some(node.full_config.configure(full_bytes, false, false, ctx)?)
+        } else {
+            None
+        };
+        let jcall = j.open(call.name.as_str(), jrun, cs.0, tid_host);
+        // The configuration window: the clean configure, or the plan's
+        // attempt chain. `jcfg` is the node execution links back to.
+        let (ce, jcfg) = match clean_d {
+            Some(d) => {
+                last_api_d = d;
+                let jcfg = j.event("configure", jcall, cs.0, tid_cfg);
+                timeline.push(
+                    Lane::ConfigPort,
+                    EventKind::FullConfig,
+                    labels.get(L_FULL, call.name, 0),
+                    cs,
+                    cs + d,
+                );
+                (cs + d, jcfg)
+            }
+            None => {
                 let mut jchain: PendingLink = None;
                 let ce = push_full_attempts(
                     node,
                     &mut timeline,
                     &mut labels,
-                    p,
+                    plan,
                     &fate,
                     i as u64,
                     call.name,
@@ -670,107 +702,33 @@ fn run_frtr_impl(
                 if let Some(fm) = &fm {
                     fm.record(&fate, (ce - cs).as_secs_f64() - t_frtr_clean_s);
                 }
-                m_calls.inc();
-                if fate.dropped {
-                    n_dropped += 1;
-                    timings.push(CallTiming {
-                        name: call.name,
-                        hit: false,
-                        config_start: Some(cs),
-                        config_end: Some(ce),
-                        exec_start: ce,
-                        exec_end: ce,
-                    });
-                    m_latency.record((ce - cs).as_secs_f64());
-                    j.close(jcall, ce.0);
-                    now = ce;
-                } else {
-                    m_configs.inc();
-                    let control_end = ce + t_control;
-                    timeline.push(
-                        Lane::Host,
-                        EventKind::Control,
-                        labels.get(L_CTL, call.name, 0),
-                        ce,
-                        control_end,
-                    );
-                    let exec_start = control_end;
-                    let exec_end = exec_start + SimDuration::from_secs_f64(call.task_time_s(node));
-                    push_exec_events(
-                        &mut timeline,
-                        &mut labels,
-                        node,
-                        call,
-                        0,
-                        exec_start,
-                        exec_end,
-                    );
-                    let jexec = j.event("execute", jcall, exec_start.0, Lane::Prr(0).chrome_tid());
-                    j.flow(jchain.map(|(id, _)| id), jexec, "activate");
-                    timings.push(CallTiming {
-                        name: call.name,
-                        hit: false,
-                        config_start: Some(cs),
-                        config_end: Some(ce),
-                        exec_start,
-                        exec_end,
-                    });
-                    m_latency.record((exec_end - cs).as_secs_f64());
-                    j.close(jcall, exec_end.0);
-                    now = exec_end;
-                }
-                i += 1;
-                continue;
+                (ce, jchain.map(|(id, _)| id))
             }
-        }
-
-        let config_start = now;
-        // A full bitstream resets the device, so DONE is irrelevant here.
-        let d = node.full_config.configure(full_bytes, false, false, ctx)?;
-        last_api_d = d;
-        let config_end = config_start + d;
-        let jcall = j.open(call.name.as_str(), jrun, config_start.0, tid_host);
-        let jcfg = j.event("configure", jcall, config_start.0, tid_cfg);
-        timeline.push(
-            Lane::ConfigPort,
-            EventKind::FullConfig,
-            labels.get(L_FULL, call.name, 0),
-            config_start,
-            config_end,
-        );
-        let control_end = config_end + t_control;
-        timeline.push(
-            Lane::Host,
-            EventKind::Control,
-            labels.get(L_CTL, call.name, 0),
-            config_end,
-            control_end,
-        );
-        let exec_start = control_end;
-        let exec_end = exec_start + SimDuration::from_secs_f64(call.task_time_s(node));
-        push_exec_events(
-            &mut timeline,
-            &mut labels,
-            node,
-            call,
-            0,
-            exec_start,
-            exec_end,
-        );
-        let jexec = j.event("execute", jcall, exec_start.0, Lane::Prr(0).chrome_tid());
-        j.flow(jcfg, jexec, "activate");
+        };
+        m_calls.inc();
+        let (exec_start, exec_end) = if fate.dropped {
+            // The call never ran: zero-length execution window at the
+            // chain's end, no control transfer, no data.
+            n_dropped += 1;
+            (ce, ce)
+        } else {
+            m_configs.inc();
+            let (exec_start, exec_end) =
+                push_exec_events(&mut timeline, &mut labels, node, call, 0, ce, t_control);
+            let jexec = j.event("execute", jcall, exec_start.0, Lane::Prr(0).chrome_tid());
+            j.flow(jcfg, jexec, "activate");
+            (exec_start, exec_end)
+        };
         j.close(jcall, exec_end.0);
         timings.push(CallTiming {
             name: call.name,
             hit: false,
-            config_start: Some(config_start),
-            config_end: Some(config_end),
+            config_start: Some(cs),
+            config_end: Some(ce),
             exec_start,
             exec_end,
         });
-        m_calls.inc();
-        m_configs.inc();
-        m_latency.record((exec_end - config_start).as_secs_f64());
+        m_latency.record((exec_end - cs).as_secs_f64());
         now = exec_end;
         i += 1;
     }
@@ -805,7 +763,7 @@ pub fn run_prtr(
     calls: &[PrtrCall],
     ctx: &ExecCtx,
 ) -> Result<ExecutionReport, SimError> {
-    run_prtr_impl(node, calls, ctx, true, None)
+    run_prtr_impl(node, calls, ctx, true, &FaultPlan::disarmed())
 }
 
 /// [`run_prtr`] with a fault plan armed: every miss runs the plan's
@@ -814,10 +772,10 @@ pub fn run_prtr(
 /// reconfiguration after `max_partial_attempts` failures, blacklisting
 /// of repeatedly escalating PRRs (via a [`FaultState`] that replays in
 /// lockstep with the scheduler's), and a drop once every attempt is
-/// exhausted. A disarmed plan takes the exact fault-free code path.
-/// The steady-state fast path stays enabled and jumps across fault-free
-/// stretches only, so the result is bit-identical to
-/// [`run_prtr_faulty_reference`].
+/// exhausted. A disarmed plan is the clean path: every call is clean
+/// and the run is exactly [`run_prtr`]'s. The steady-state fast path
+/// stays enabled and jumps across fault-free stretches only, so the
+/// result is bit-identical to [`run_prtr_faulty_reference`].
 ///
 /// # Errors
 ///
@@ -829,7 +787,7 @@ pub fn run_prtr_faulty(
     plan: &FaultPlan,
     ctx: &ExecCtx,
 ) -> Result<ExecutionReport, SimError> {
-    run_prtr_impl(node, calls, ctx, true, Some(plan))
+    run_prtr_impl(node, calls, ctx, true, plan)
 }
 
 /// The per-call oracle for [`run_prtr_faulty`]: same recurrence and
@@ -844,7 +802,7 @@ pub fn run_prtr_faulty_reference(
     plan: &FaultPlan,
     ctx: &ExecCtx,
 ) -> Result<ExecutionReport, SimError> {
-    run_prtr_impl(node, calls, ctx, false, Some(plan))
+    run_prtr_impl(node, calls, ctx, false, plan)
 }
 
 /// The per-call PRTR reference path: identical recurrence, no jumps.
@@ -858,7 +816,7 @@ pub fn run_prtr_reference(
     calls: &[PrtrCall],
     ctx: &ExecCtx,
 ) -> Result<ExecutionReport, SimError> {
-    run_prtr_impl(node, calls, ctx, false, None)
+    run_prtr_impl(node, calls, ctx, false, &FaultPlan::disarmed())
 }
 
 fn run_prtr_impl(
@@ -866,7 +824,7 @@ fn run_prtr_impl(
     calls: &[PrtrCall],
     ctx: &ExecCtx,
     enable_jump: bool,
-    plan: Option<&FaultPlan>,
+    plan: &FaultPlan,
 ) -> Result<ExecutionReport, SimError> {
     let registry = &ctx.registry;
     if calls.is_empty() {
@@ -896,30 +854,36 @@ fn run_prtr_impl(
     let t_control = SimDuration::from_secs_f64(node.control_overhead_s);
     let t_prtr = node.icap.transfer_duration(node.prr_bitstream_bytes);
 
-    // Armed fault plan: replay the recovery state over the miss stream
-    // to pre-derive every call's fate. The scheduler that produced
-    // `calls` ran the identical [`FaultState`] over the identical
-    // `(call index, slot)` stream, so escalations and blacklisting stay
-    // in lockstep without any fate passing. Disarmed plans take the
-    // exact fault-free path.
-    let plan = plan.filter(|p| p.armed());
-    let fates: Vec<CallFate> = plan
-        .map(|p| {
-            let mut state = FaultState::new(*p, node.n_prrs);
-            calls
-                .iter()
-                .enumerate()
-                .map(|(i, c)| {
-                    if c.hit {
-                        CallFate::clean_partial()
-                    } else {
-                        state.on_miss(i as u64, c.slot)
-                    }
-                })
-                .collect()
-        })
-        .unwrap_or_default();
-    let fm = plan.map(|_| FaultMetrics::new(registry, "sim.prtr"));
+    // An armed plan replays the recovery state over the miss stream to
+    // pre-derive every call's fate. The scheduler that produced `calls`
+    // ran the identical [`FaultState`] over the identical `(call index,
+    // slot)` stream, so escalations and blacklisting stay in lockstep
+    // without any fate passing. Under a disarmed plan every call is
+    // clean.
+    let armed = plan.armed();
+    let fates: Vec<CallFate> = if armed {
+        let mut state = FaultState::new(*plan, node.n_prrs);
+        calls
+            .iter()
+            .enumerate()
+            .map(|(i, c)| {
+                if c.hit {
+                    CallFate::clean_partial()
+                } else {
+                    state.on_miss(i as u64, c.slot)
+                }
+            })
+            .collect()
+    } else {
+        Vec::new()
+    };
+    let fate_of = |i: usize| {
+        fates
+            .get(i)
+            .copied()
+            .unwrap_or_else(CallFate::clean_partial)
+    };
+    let fm = armed.then(|| FaultMetrics::new(registry, "sim.prtr"));
 
     // Salted keys confine steady-state jumps to fault-free stretches
     // (see `run_frtr_impl`).
@@ -928,9 +892,10 @@ fn run_prtr_impl(
             .iter()
             .enumerate()
             .map(|(i, c)| {
-                let salt = match plan {
-                    Some(_) if !fates[i].is_clean() => i as u64 + 1,
-                    _ => 0,
+                let salt = if fate_of(i).is_clean() {
+                    0
+                } else {
+                    i as u64 + 1
                 };
                 (
                     PrtrKey {
@@ -1025,42 +990,71 @@ fn run_prtr_impl(
         }
 
         let call = &calls[i];
+        let fate = fate_of(i);
+        let prev_end = prev.map_or(SimTime::ZERO, |(_, end, _)| end);
 
-        // Faulty miss: decision timing mirrors the fault-free miss
-        // arms, then the recovery chain replaces the single partial
-        // transfer. Clean-fated calls (all hits included) fall through
-        // to the unchanged fault-free body and stay jumpable.
-        if let Some(p) = plan {
-            let fate = fates[i];
-            if !fate.is_clean() {
-                let decision_start = prev.map_or(SimTime::ZERO, |(_, pe, _)| pe);
-                let decision_end = decision_start + t_decision;
-                let jcall = j.open(call.task.name.as_str(), jrun, decision_start.0, tid_host);
-                let jdec = j.event("decide", jcall, decision_start.0, tid_host);
-                let mut jchain: PendingLink = jdec.map(|d| (d, "hide"));
-                timeline.push(
-                    Lane::Host,
-                    EventKind::Decision,
-                    labels.get(L_DEC, call.task.name, 0),
-                    decision_start,
-                    decision_end,
-                );
-                let earliest = match prev {
-                    None => decision_end,
-                    Some((prev_start, _, prev_bytes_in)) => {
-                        if node.config_waits_for_data_input {
-                            prev_start + node.data_in_duration(prev_bytes_in)
-                        } else {
-                            prev_start
-                        }
+        // The decision runs first on a cold start, overlaps the previous
+        // execution on a hit, and follows it on a miss. The journal's
+        // call span opens there (it is the call's first action).
+        let decision_start = match (call.hit, prev) {
+            (_, None) => SimTime::ZERO,
+            (true, Some((prev_start, _, _))) => prev_start,
+            (false, Some(_)) => prev_end,
+        };
+        let decision_end = decision_start + t_decision;
+        let jcall = j.open(call.task.name.as_str(), jrun, decision_start.0, tid_host);
+        let jdec = j.event("decide", jcall, decision_start.0, tid_host);
+        timeline.push(
+            Lane::Host,
+            EventKind::Decision,
+            labels.get(L_DEC, call.task.name, 0),
+            decision_start,
+            decision_end,
+        );
+        let mut ready = prev_end.max(decision_end);
+
+        // A miss's configuration window: `(start, end, jcfg)`, where
+        // `jcfg` is the node execution links back to.
+        let config = if call.hit {
+            None
+        } else {
+            // On a cold start the configuration follows the decision;
+            // otherwise it streams while the previous task runs
+            // (equation (3)'s max(T_task + T_decision, T_PRTR) term).
+            let earliest = match prev {
+                None => decision_end,
+                Some((prev_start, _, prev_bytes_in)) => {
+                    if node.config_waits_for_data_input {
+                        prev_start + node.data_in_duration(prev_bytes_in)
+                    } else {
+                        prev_start
                     }
-                };
-                let cs = earliest.max(icap_free);
+                }
+            };
+            let cs = earliest.max(icap_free);
+            // One ICAP transfer for a clean miss, the plan's recovery
+            // chain for a faulty one.
+            let (ce, jcfg) = if fate.is_clean() {
+                let ce = cs + t_prtr;
+                let jcfg = j.event("configure", jcall, cs.0, tid_cfg);
+                j.flow(jdec, jcfg, "hide");
+                timeline.push(
+                    Lane::ConfigPort,
+                    EventKind::PartialConfig,
+                    labels.get(L_CFG, call.task.name, call.slot),
+                    cs,
+                    ce,
+                );
+                m_icap_transfers.inc();
+                m_icap_bytes.add(node.prr_bitstream_bytes);
+                (ce, jcfg)
+            } else {
+                let mut jchain: PendingLink = jdec.map(|d| (d, "hide"));
                 let ce = push_partial_fault_chain(
                     node,
                     &mut timeline,
                     &mut labels,
-                    p,
+                    plan,
                     &fate,
                     i as u64,
                     call.task.name,
@@ -1070,208 +1064,21 @@ fn run_prtr_impl(
                     jcall,
                     &mut jchain,
                 )?;
-                icap_free = ce;
                 if let Some(fm) = &fm {
                     fm.record(&fate, (ce - cs).as_secs_f64() - t_prtr.as_secs_f64());
                 }
-                let ready = decision_end.max(ce);
-                m_calls.inc();
-                m_misses.inc();
-                if !fate.dropped {
-                    n_config += 1;
-                    if !(fate.escalated || fate.forced_full) {
-                        m_configs.inc();
-                    }
-                } else {
-                    n_dropped += 1;
-                }
-                let prev_end_t = prev.map_or(SimTime::ZERO, |(_, end, _)| end);
-                if fate.dropped {
-                    // The call never ran: zero-length execution window
-                    // at its ready point, no control transfer, no data.
-                    timings.push(CallTiming {
-                        name: call.task.name,
-                        hit: false,
-                        config_start: Some(cs),
-                        config_end: Some(ce),
-                        exec_start: ready,
-                        exec_end: ready,
-                    });
-                    m_latency.record((ready - prev_end_t).as_secs_f64());
-                    j.close(jcall, ready.0);
-                    prev = Some((ready, ready, 0));
-                } else {
-                    let control_end = ready + t_control;
-                    timeline.push(
-                        Lane::Host,
-                        EventKind::Control,
-                        labels.get(L_CTL, call.task.name, 0),
-                        ready,
-                        control_end,
-                    );
-                    let exec_start = control_end;
-                    let exec_end =
-                        exec_start + SimDuration::from_secs_f64(call.task.task_time_s(node));
-                    push_exec_events(
-                        &mut timeline,
-                        &mut labels,
-                        node,
-                        &call.task,
-                        call.slot,
-                        exec_start,
-                        exec_end,
-                    );
-                    let jexec = j.event(
-                        "execute",
-                        jcall,
-                        exec_start.0,
-                        Lane::Prr(call.slot).chrome_tid(),
-                    );
-                    j.flow(jchain.map(|(id, _)| id), jexec, "activate");
-                    timings.push(CallTiming {
-                        name: call.task.name,
-                        hit: false,
-                        config_start: Some(cs),
-                        config_end: Some(ce),
-                        exec_start,
-                        exec_end,
-                    });
-                    m_latency.record((exec_end - prev_end_t).as_secs_f64());
-                    j.close(jcall, exec_end.0);
-                    prev = Some((exec_start, exec_end, call.task.bytes_in));
-                }
-                i += 1;
-                continue;
-            }
-        }
-
-        // The decision's start anchor is arm-dependent; the journal's
-        // call span opens there (it is the call's first action).
-        let decision_anchor = match (call.hit, prev) {
-            (_, None) => SimTime::ZERO,
-            (true, Some((prev_start, _, _))) => prev_start,
-            (false, Some((_, prev_end, _))) => prev_end,
-        };
-        let jcall = j.open(call.task.name.as_str(), jrun, decision_anchor.0, tid_host);
-        let jdec = j.event("decide", jcall, decision_anchor.0, tid_host);
-
-        let (config_start, config_end, ready) = match (call.hit, prev) {
-            // Cold start (first call): decision, then configuration (on a
-            // miss), strictly serial — nothing exists to overlap with.
-            (hit, None) => {
-                let decision_end = SimTime::ZERO + t_decision;
-                timeline.push(
-                    Lane::Host,
-                    EventKind::Decision,
-                    labels.get(L_DEC, call.task.name, 0),
-                    SimTime::ZERO,
-                    decision_end,
-                );
-                if hit {
-                    (None, None, decision_end)
-                } else {
-                    let cs = decision_end.max(icap_free);
-                    let ce = cs + t_prtr;
-                    icap_free = ce;
-                    n_config += 1;
-                    (Some(cs), Some(ce), ce)
-                }
-            }
-            // Hit: the decision overlaps the previous execution.
-            (true, Some((prev_start, prev_end, _))) => {
-                let decision_end = prev_start + t_decision;
-                timeline.push(
-                    Lane::Host,
-                    EventKind::Decision,
-                    labels.get(L_DEC, call.task.name, 0),
-                    prev_start,
-                    decision_end,
-                );
-                (None, None, prev_end.max(decision_end))
-            }
-            // Miss: the configuration streams while the previous task runs;
-            // the decision check runs after it completes (equation (3)'s
-            // max(T_task + T_decision, T_PRTR) term).
-            (false, Some((prev_start, prev_end, prev_bytes_in))) => {
-                let decision_end = prev_end + t_decision;
-                timeline.push(
-                    Lane::Host,
-                    EventKind::Decision,
-                    labels.get(L_DEC, call.task.name, 0),
-                    prev_end,
-                    decision_end,
-                );
-                let earliest = if node.config_waits_for_data_input {
-                    prev_start + node.data_in_duration(prev_bytes_in)
-                } else {
-                    prev_start
-                };
-                let cs = earliest.max(icap_free);
-                let ce = cs + t_prtr;
-                icap_free = ce;
+                (ce, jchain.map(|(id, _)| id))
+            };
+            if !fate.dropped {
                 n_config += 1;
-                (Some(cs), Some(ce), decision_end.max(ce))
+                if !(fate.escalated || fate.forced_full) {
+                    m_configs.inc();
+                }
             }
+            icap_free = ce;
+            ready = ready.max(ce);
+            Some((cs, ce, jcfg))
         };
-
-        let jcfg = match config_start {
-            Some(cs) => {
-                let c = j.event("configure", jcall, cs.0, tid_cfg);
-                j.flow(jdec, c, "hide");
-                c
-            }
-            None => None,
-        };
-        if let (Some(cs), Some(ce)) = (config_start, config_end) {
-            timeline.push(
-                Lane::ConfigPort,
-                EventKind::PartialConfig,
-                labels.get(L_CFG, call.task.name, call.slot),
-                cs,
-                ce,
-            );
-        }
-
-        let control_end = ready + t_control;
-        timeline.push(
-            Lane::Host,
-            EventKind::Control,
-            labels.get(L_CTL, call.task.name, 0),
-            ready,
-            control_end,
-        );
-        let exec_start = control_end;
-        let exec_end = exec_start + SimDuration::from_secs_f64(call.task.task_time_s(node));
-        push_exec_events(
-            &mut timeline,
-            &mut labels,
-            node,
-            &call.task,
-            call.slot,
-            exec_start,
-            exec_end,
-        );
-        let jexec = j.event(
-            "execute",
-            jcall,
-            exec_start.0,
-            Lane::Prr(call.slot).chrome_tid(),
-        );
-        if jcfg.is_some() {
-            j.flow(jcfg, jexec, "activate");
-        } else {
-            j.flow(jdec, jexec, "hit");
-        }
-        j.close(jcall, exec_end.0);
-
-        timings.push(CallTiming {
-            name: call.task.name,
-            hit: call.hit,
-            config_start,
-            config_end,
-            exec_start,
-            exec_end,
-        });
 
         m_calls.inc();
         if call.hit {
@@ -1279,18 +1086,50 @@ fn run_prtr_impl(
         } else {
             m_misses.inc();
         }
-        if config_start.is_some() {
-            m_configs.inc();
-            m_icap_transfers.inc();
-            m_icap_bytes.add(node.prr_bitstream_bytes);
-        }
+        let (exec_start, exec_end) = if fate.dropped {
+            // The call never ran: zero-length execution window at its
+            // ready point, no control transfer, no data.
+            n_dropped += 1;
+            (ready, ready)
+        } else {
+            let (exec_start, exec_end) = push_exec_events(
+                &mut timeline,
+                &mut labels,
+                node,
+                &call.task,
+                call.slot,
+                ready,
+                t_control,
+            );
+            let jexec = j.event(
+                "execute",
+                jcall,
+                exec_start.0,
+                Lane::Prr(call.slot).chrome_tid(),
+            );
+            match config {
+                Some((_, _, jcfg)) => j.flow(jcfg, jexec, "activate"),
+                None => j.flow(jdec, jexec, "hit"),
+            }
+            (exec_start, exec_end)
+        };
+        j.close(jcall, exec_end.0);
+        timings.push(CallTiming {
+            name: call.task.name,
+            hit: call.hit,
+            config_start: config.map(|(cs, _, _)| cs),
+            config_end: config.map(|(_, ce, _)| ce),
+            exec_start,
+            exec_end,
+        });
         // Marginal wall-clock cost of this call — in steady state this
         // is the model's per-call increment, e.g.
         // max(T_task + T_decision, T_PRTR) + T_control on a miss.
-        let prev_end = prev.map_or(SimTime::ZERO, |(_, end, _)| end);
         m_latency.record((exec_end - prev_end).as_secs_f64());
 
-        prev = Some((exec_start, exec_end, call.task.bytes_in));
+        // A dropped call moved no input data.
+        let bytes_in = if fate.dropped { 0 } else { call.task.bytes_in };
+        prev = Some((exec_start, exec_end, bytes_in));
         i += 1;
     }
 
@@ -1306,16 +1145,26 @@ fn run_prtr_impl(
     })
 }
 
-/// Records the execution window plus its streaming data transfers.
+/// Records the control transfer from `ready`, then the execution window
+/// plus its streaming data transfers; returns the execution window.
 fn push_exec_events(
     timeline: &mut Timeline,
     labels: &mut LabelCache,
     node: &NodeConfig,
     call: &TaskCall,
     slot: usize,
-    exec_start: SimTime,
-    exec_end: SimTime,
-) {
+    ready: SimTime,
+    t_control: SimDuration,
+) -> (SimTime, SimTime) {
+    let exec_start = ready + t_control;
+    timeline.push(
+        Lane::Host,
+        EventKind::Control,
+        labels.get(L_CTL, call.name, 0),
+        ready,
+        exec_start,
+    );
+    let exec_end = exec_start + SimDuration::from_secs_f64(call.task_time_s(node));
     timeline.push(
         Lane::Prr(slot),
         EventKind::Exec,
@@ -1341,6 +1190,7 @@ fn push_exec_events(
         out_start.max(exec_start),
         exec_end,
     );
+    (exec_start, exec_end)
 }
 
 #[cfg(test)]

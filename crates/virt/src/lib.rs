@@ -9,9 +9,10 @@
 //!   arrival times and priorities;
 //! * [`runtime`] — the OS-style scheduler over fixed PRRs: FCFS/priority
 //!   disciplines, FRTR vs PRTR modes, optional next-configuration
-//!   overlap, per-app turnaround/hit statistics, Gantt timelines, and a
-//!   fault-injecting variant ([`runtime::run_faulty`]) that surfaces
-//!   recovery outcomes instead of unwinding;
+//!   overlap, per-app turnaround/hit statistics, Gantt timelines, and
+//!   fault injection ([`runtime::run_faulty`]) that surfaces recovery
+//!   outcomes instead of unwinding. One event loop serves both:
+//!   [`runtime::run`] is `run_faulty` under a disarmed plan;
 //! * [`flexible`] — the variable-width runtime: modules occupy exactly
 //!   the columns they need inside one reconfigurable window, with LRU
 //!   eviction and on-block defragmentation (width-scaled configuration

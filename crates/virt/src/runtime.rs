@@ -23,6 +23,7 @@
 //!   API, and destroys residency for everyone else — the structural
 //!   reason FRTR multi-tasking collapses.
 
+use hprc_fault::FaultPlan;
 use hprc_sim::engine::EventQueue;
 use hprc_sim::node::NodeConfig;
 use hprc_sim::time::{SimDuration, SimTime};
@@ -202,8 +203,82 @@ pub fn run(
     config: &RuntimeConfig,
     ctx: &hprc_ctx::ExecCtx,
 ) -> Result<RunReport, VirtError> {
+    run_faulty(node, apps, config, &FaultPlan::disarmed(), ctx).map(|r| r.report)
+}
+
+/// Result of a fault-injecting runtime simulation: the ordinary
+/// [`RunReport`] plus the recovery outcomes the runtime *surfaced*
+/// instead of unwinding on.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct FaultyRunReport {
+    /// The underlying schedule, with recovery time folded into the
+    /// affected calls' configuration charges.
+    pub report: RunReport,
+    /// Calls that hit at least one injected fault but still completed.
+    pub recovered: u64,
+    /// Partial chains that escalated to a full reconfiguration.
+    pub escalated_full: u64,
+    /// Calls whose recovery chain exhausted every attempt — served as
+    /// zero-length records rather than an error.
+    pub dropped_calls: u64,
+    /// Resident modules lost to seeded SEU strikes.
+    pub seu_invalidations: u64,
+    /// PRRs blacklisted by the end of the run.
+    pub blacklisted_slots: usize,
+}
+
+impl FaultyRunReport {
+    /// Availability: the fraction of calls that were not dropped.
+    pub fn availability(&self) -> f64 {
+        let calls: u64 = self.report.per_app.iter().map(|a| a.calls).sum();
+        if calls == 0 {
+            1.0
+        } else {
+            1.0 - self.dropped_calls as f64 / calls as f64
+        }
+    }
+}
+
+/// [`run`] with the `hprc-fault` recovery machinery armed. A disarmed
+/// plan is the clean path: every demand configuration is one clean
+/// chain, and the result, metrics and journal are exactly [`run`]'s.
+///
+/// Recovery is charged *coarsely*: each demand miss draws its
+/// [`CallFate`](hprc_fault::CallFate) and the whole retry/backoff/
+/// escalation chain occupies the configuration port as one
+/// [`EventKind::Recovery`] stretch followed by the successful
+/// configuration event (none for a dropped call — the whole chain is
+/// recovery). A chain is charged [`CallFate::chain_s`] rounded to the
+/// nanosecond, so a clean chain costs exactly the configuration time
+/// [`run`] charges. Prefetches are charged clean — only demand chains
+/// draw faults, which keeps the per-call draw stream aligned with the
+/// other layers. Escalated and forced-full chains overwrite the whole
+/// device (every resident module is lost); SEU strikes silently evict
+/// residents after each call; a PRR that escalates repeatedly is
+/// blacklisted and the runtime degrades toward pure full
+/// reconfiguration, never unwinding.
+///
+/// Armed runs use span and journal name `virt.run_faulty` and add to
+/// [`run`]'s instruments: counters `virt.fault.injected` /
+/// `.recovered` / `.escalated_full` / `.dropped` /
+/// `.seu_invalidations` and gauge `virt.fault.blacklisted_slots`.
+///
+/// [`CallFate::chain_s`]: hprc_fault::CallFate::chain_s
+///
+/// # Errors
+///
+/// Exactly [`run`]'s errors — injected faults never surface as `Err`.
+pub fn run_faulty(
+    node: &NodeConfig,
+    apps: &[App],
+    config: &RuntimeConfig,
+    plan: &FaultPlan,
+    ctx: &hprc_ctx::ExecCtx,
+) -> Result<FaultyRunReport, VirtError> {
+    let armed = plan.armed();
+    let name = if armed { "virt.run_faulty" } else { "virt.run" };
     let registry = &ctx.registry;
-    let _span = registry.span("virt.run");
+    let _span = registry.span(name);
     if apps.is_empty() {
         return Err(VirtError::NoApplications);
     }
@@ -211,7 +286,7 @@ pub fn run(
         return Err(VirtError::BadAppIds);
     }
     let j = &ctx.journal;
-    let js = j.enter("virt.run", 0, 0);
+    let js = j.enter(name, 0, 0);
     let m_dispatch = registry.histogram("virt.dispatch_latency_s");
     let m_calls = registry.counter("virt.calls");
     let m_hits = registry.counter("virt.hits");
@@ -222,11 +297,12 @@ pub fn run(
         ReconfigMode::Prtr => node.n_prrs,
     };
     let t_control = SimDuration::from_secs_f64(node.control_overhead_s);
-    let t_config = match config.mode {
-        ReconfigMode::Frtr => SimDuration::from_secs_f64(node.t_frtr_s()),
-        ReconfigMode::Prtr => SimDuration::from_secs_f64(node.t_prtr_s()),
-    };
+    let t_partial_s = node.t_prtr_s();
+    let t_full_s = node.t_frtr_s();
+    let t_partial = SimDuration::from_secs_f64(t_partial_s);
+    let t_full = SimDuration::from_secs_f64(t_full_s);
 
+    let mut state = hprc_fault::FaultState::new(*plan, n_slots);
     let mut slots = vec![
         Slot {
             module: None,
@@ -238,6 +314,12 @@ pub fn run(
     let mut config_port_free = SimTime::ZERO;
     let mut config_busy_s = 0.0f64;
     let mut n_config = 0u64;
+    let mut seq = 0u64;
+    let mut injected = 0u64;
+    let mut recovered = 0u64;
+    let mut escalated_full = 0u64;
+    let mut dropped_calls = 0u64;
+    let mut seu_invalidations = 0u64;
     let mut next_call = vec![0usize; apps.len()];
     let mut timeline = Timeline::default();
     let mut records = Vec::new();
@@ -272,68 +354,120 @@ pub fn run(
         let app = &apps[app_id];
         let call = &app.calls[next_call[app_id]];
         let t_task = SimDuration::from_secs_f64(call.t_task_s);
+        let call_seq = seq;
+        seq += 1;
 
         // Find residency.
         let resident = slots
             .iter()
             .position(|s| s.module.as_deref() == Some(call.module.as_str()));
-        let (slot_idx, exec_ready, hit, config_s) = match resident {
-            Some(s) => (s, now.max(slots[s].free_at), true, 0.0),
+        let (slot_idx, exec_ready, hit, config_s, dropped) = match resident {
+            Some(s) => (s, now.max(slots[s].free_at), true, 0.0, false),
             None => {
-                // LRU victim among all slots (whole device under FRTR).
+                // LRU victim among usable PRRs (the whole device under
+                // FRTR); with every PRR retired the chain is forced full
+                // and slot 0 stands in for the whole device.
                 let victim = (0..slots.len())
+                    .filter(|&i| !state.is_blacklisted(i))
                     .min_by_key(|&i| (slots[i].free_at, slots[i].last_used, i))
-                    .expect("at least one slot");
+                    .unwrap_or(0);
+                let fate = match config.mode {
+                    ReconfigMode::Frtr => state.on_full(call_seq),
+                    ReconfigMode::Prtr => state.on_miss(call_seq, victim),
+                };
+                let chain =
+                    SimDuration::from_secs_f64(fate.chain_s(&plan.policy, t_partial_s, t_full_s));
                 let cfg_start = now.max(slots[victim].free_at).max(config_port_free);
-                let cfg_end = cfg_start + t_config;
+                let cfg_end = cfg_start + chain;
                 config_port_free = cfg_end;
-                config_busy_s += t_config.as_secs_f64();
-                n_config += 1;
-                timeline.push(
-                    Lane::ConfigPort,
-                    match config.mode {
-                        ReconfigMode::Frtr => EventKind::FullConfig,
-                        ReconfigMode::Prtr => EventKind::PartialConfig,
-                    },
-                    format!("cfg:{}(app{})", call.module, app_id),
-                    cfg_start,
-                    cfg_end,
-                );
-                slots[victim].module = Some(call.module.clone());
-                if config.mode == ReconfigMode::Frtr {
-                    // A full configuration resets the device: everything
-                    // else resident dies too (there is only one slot here,
-                    // but the reset also applies conceptually).
+                config_busy_s += chain.as_secs_f64();
+                // The successful configuration closes the chain; every
+                // earlier attempt and backoff is one Recovery stretch.
+                let full = config.mode == ReconfigMode::Frtr || fate.escalated || fate.forced_full;
+                let success = match (fate.dropped, full) {
+                    (true, _) => SimDuration::ZERO,
+                    (false, true) => t_full,
+                    (false, false) => t_partial,
+                };
+                let success_start = cfg_start + SimDuration(chain.0.saturating_sub(success.0));
+                if success_start > cfg_start {
+                    timeline.push(
+                        Lane::ConfigPort,
+                        EventKind::Recovery,
+                        format!("rcv:{}(app{})", call.module, app_id),
+                        cfg_start,
+                        success_start,
+                    );
                 }
-                (victim, cfg_end, false, t_config.as_secs_f64())
+                if fate.escalated || fate.forced_full {
+                    escalated_full += 1;
+                }
+                injected += fate.injected();
+                if full {
+                    // A full bitstream overwrites the whole device.
+                    for s in slots.iter_mut() {
+                        s.module = None;
+                    }
+                }
+                if fate.dropped {
+                    dropped_calls += 1;
+                } else {
+                    if fate.injected() > 0 {
+                        recovered += 1;
+                    }
+                    n_config += 1;
+                    timeline.push(
+                        Lane::ConfigPort,
+                        if full {
+                            EventKind::FullConfig
+                        } else {
+                            EventKind::PartialConfig
+                        },
+                        format!("cfg:{}(app{})", call.module, app_id),
+                        success_start,
+                        cfg_end,
+                    );
+                    if !state.is_blacklisted(victim) || config.mode == ReconfigMode::Frtr {
+                        slots[victim].module = Some(call.module.clone());
+                    }
+                }
+                (victim, cfg_end, false, chain.as_secs_f64(), fate.dropped)
             }
         };
 
-        let control_end = exec_ready + t_control;
-        timeline.push(
-            Lane::Host,
-            EventKind::Control,
-            format!("ctl:app{app_id}"),
-            exec_ready,
-            control_end,
-        );
-        let exec_start = control_end;
-        let exec_end = exec_start + t_task;
-        timeline.push(
-            Lane::Prr(slot_idx),
-            EventKind::Exec,
-            format!("{}(app{})", call.module, app_id),
-            exec_start,
-            exec_end,
-        );
-        slots[slot_idx].free_at = exec_end;
-        slots[slot_idx].last_used = exec_end;
-
+        let (exec_start, exec_end) = if dropped {
+            // The call is surfaced as a zero-length record: no control
+            // hand-off, no execution window, the app simply moves on.
+            slots[slot_idx].free_at = slots[slot_idx].free_at.max(exec_ready);
+            slots[slot_idx].last_used = exec_ready;
+            (exec_ready, exec_ready)
+        } else {
+            let control_end = exec_ready + t_control;
+            timeline.push(
+                Lane::Host,
+                EventKind::Control,
+                format!("ctl:app{app_id}"),
+                exec_ready,
+                control_end,
+            );
+            let exec_end = control_end + t_task;
+            timeline.push(
+                Lane::Prr(slot_idx),
+                EventKind::Exec,
+                format!("{}(app{})", call.module, app_id),
+                control_end,
+                exec_end,
+            );
+            slots[slot_idx].free_at = exec_end;
+            slots[slot_idx].last_used = exec_end;
+            stats[app_id].exec_s += t_task.as_secs_f64();
+            if hit {
+                stats[app_id].hits += 1;
+                m_hits.inc();
+            }
+            (control_end, exec_end)
+        };
         stats[app_id].calls += 1;
-        stats[app_id].exec_s += t_task.as_secs_f64();
-        if hit {
-            stats[app_id].hits += 1;
-        }
         records.push(CallRecord {
             app: app_id,
             module: call.module.clone(),
@@ -345,27 +479,32 @@ pub fn run(
             exec_end,
         });
         m_calls.inc();
-        if hit {
-            m_hits.inc();
-        }
         m_dispatch.record((exec_start - now).as_secs_f64());
 
+        // SEU sweep: seeded upsets silently corrupt resident modules.
+        for (s, slot) in slots.iter_mut().enumerate() {
+            if slot.module.is_some() && state.seu_strikes(call_seq, s) {
+                slot.module = None;
+                seu_invalidations += 1;
+            }
+        }
+
         // Optional overlap: configure this app's next module during the
-        // current execution (PRTR only; needs a second slot).
+        // current execution (PRTR only; needs a second usable slot). The
+        // prefetch is charged clean: only demand chains draw faults.
         if config.prefetch_next && config.mode == ReconfigMode::Prtr && slots.len() > 1 {
             if let Some(next) = app.calls.get(next_call[app_id] + 1) {
                 let already = slots
                     .iter()
                     .any(|s| s.module.as_deref() == Some(next.module.as_str()));
-                if !already {
-                    let victim = (0..slots.len())
-                        .filter(|&i| i != slot_idx)
-                        .min_by_key(|&i| (slots[i].free_at, slots[i].last_used, i))
-                        .expect("len > 1");
+                let victim = (0..slots.len())
+                    .filter(|&i| i != slot_idx && !state.is_blacklisted(i))
+                    .min_by_key(|&i| (slots[i].free_at, slots[i].last_used, i));
+                if let (false, Some(victim)) = (already, victim) {
                     let cfg_start = exec_start.max(slots[victim].free_at).max(config_port_free);
-                    let cfg_end = cfg_start + t_config;
+                    let cfg_end = cfg_start + t_partial;
                     config_port_free = cfg_end;
-                    config_busy_s += t_config.as_secs_f64();
+                    config_busy_s += t_partial.as_secs_f64();
                     n_config += 1;
                     timeline.push(
                         Lane::ConfigPort,
@@ -410,406 +549,28 @@ pub fn run(
         registry.gauge("virt.makespan_s").set(report.makespan_s);
         registry.gauge("virt.hit_ratio").set(report.hit_ratio());
         report.timeline.record_metrics(registry, "virt");
+        if armed {
+            registry.counter("virt.fault.injected").add(injected);
+            registry.counter("virt.fault.recovered").add(recovered);
+            registry
+                .counter("virt.fault.escalated_full")
+                .add(escalated_full);
+            registry.counter("virt.fault.dropped").add(dropped_calls);
+            registry
+                .counter("virt.fault.seu_invalidations")
+                .add(seu_invalidations);
+            registry
+                .gauge("virt.fault.blacklisted_slots")
+                .set(state.blacklisted_slots() as f64);
+        }
     }
     j.metric("virt.calls", report.records.len() as u64);
     j.metric("virt.configs", report.n_config);
-    j.exit(js, (report.makespan_s * 1e9).round() as u64);
-    Ok(report)
-}
-
-/// Result of a fault-injecting runtime simulation: the ordinary
-/// [`RunReport`] plus the recovery outcomes the runtime *surfaced*
-/// instead of unwinding on.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct FaultyRunReport {
-    /// The underlying schedule, with recovery time folded into the
-    /// affected calls' configuration charges.
-    pub report: RunReport,
-    /// Calls that hit at least one injected fault but still completed.
-    pub recovered: u64,
-    /// Partial chains that escalated to a full reconfiguration.
-    pub escalated_full: u64,
-    /// Calls whose recovery chain exhausted every attempt — served as
-    /// zero-length records rather than an error.
-    pub dropped_calls: u64,
-    /// Resident modules lost to seeded SEU strikes.
-    pub seu_invalidations: u64,
-    /// PRRs blacklisted by the end of the run.
-    pub blacklisted_slots: usize,
-}
-
-impl FaultyRunReport {
-    /// Availability: the fraction of calls that were not dropped.
-    pub fn availability(&self) -> f64 {
-        let calls: u64 = self.report.per_app.iter().map(|a| a.calls).sum();
-        if calls == 0 {
-            1.0
-        } else {
-            1.0 - self.dropped_calls as f64 / calls as f64
-        }
+    if armed {
+        j.metric("virt.fault.injected", injected);
+        j.metric("virt.fault.recovered", recovered);
+        j.metric("virt.fault.dropped", dropped_calls);
     }
-}
-
-/// [`run`] with the `hprc-fault` recovery machinery armed. A disarmed
-/// plan delegates to [`run`] and is observably identical to it.
-///
-/// Recovery is charged *coarsely*: each demand miss draws its
-/// [`CallFate`](hprc_fault::CallFate) and the whole retry/backoff/
-/// escalation chain occupies the configuration port as one
-/// [`EventKind::Recovery`] stretch followed by the successful
-/// configuration event (none for a dropped call — the whole chain is
-/// recovery). Prefetches are charged clean — only demand chains draw
-/// faults, which keeps the per-call draw stream aligned with the other
-/// layers. Escalated and forced-full chains overwrite the whole device
-/// (every resident module is lost); SEU strikes silently evict
-/// residents after each call; a PRR that escalates repeatedly is
-/// blacklisted and the runtime degrades toward pure full
-/// reconfiguration, never unwinding.
-///
-/// Armed runs add to [`run`]'s instruments: counters
-/// `virt.fault.injected` / `.recovered` / `.escalated_full` /
-/// `.dropped` / `.seu_invalidations` and gauge
-/// `virt.fault.blacklisted_slots`.
-///
-/// # Errors
-///
-/// Exactly [`run`]'s errors — injected faults never surface as `Err`.
-pub fn run_faulty(
-    node: &NodeConfig,
-    apps: &[App],
-    config: &RuntimeConfig,
-    plan: &hprc_fault::FaultPlan,
-    ctx: &hprc_ctx::ExecCtx,
-) -> Result<FaultyRunReport, VirtError> {
-    if !plan.armed() {
-        return Ok(FaultyRunReport {
-            report: run(node, apps, config, ctx)?,
-            recovered: 0,
-            escalated_full: 0,
-            dropped_calls: 0,
-            seu_invalidations: 0,
-            blacklisted_slots: 0,
-        });
-    }
-
-    let registry = &ctx.registry;
-    let _span = registry.span("virt.run_faulty");
-    if apps.is_empty() {
-        return Err(VirtError::NoApplications);
-    }
-    if apps.iter().enumerate().any(|(i, a)| a.id != i) {
-        return Err(VirtError::BadAppIds);
-    }
-    let j = &ctx.journal;
-    let js = j.enter("virt.run_faulty", 0, 0);
-    let m_dispatch = registry.histogram("virt.dispatch_latency_s");
-    let m_calls = registry.counter("virt.calls");
-    let m_hits = registry.counter("virt.hits");
-    let m_configs = registry.counter("virt.configs");
-
-    let n_slots = match config.mode {
-        ReconfigMode::Frtr => 1,
-        ReconfigMode::Prtr => node.n_prrs,
-    };
-    let t_control = SimDuration::from_secs_f64(node.control_overhead_s);
-    let t_partial_s = node.t_prtr_s();
-    let t_full_s = node.t_frtr_s();
-    let t_config = match config.mode {
-        ReconfigMode::Frtr => SimDuration::from_secs_f64(t_full_s),
-        ReconfigMode::Prtr => SimDuration::from_secs_f64(t_partial_s),
-    };
-
-    let mut state = hprc_fault::FaultState::new(*plan, n_slots);
-    let mut slots = vec![
-        Slot {
-            module: None,
-            free_at: SimTime::ZERO,
-            last_used: SimTime::ZERO,
-        };
-        n_slots
-    ];
-    let mut config_port_free = SimTime::ZERO;
-    let mut config_busy_s = 0.0f64;
-    let mut n_config = 0u64;
-    let mut seq = 0u64;
-    let mut injected = 0u64;
-    let mut recovered = 0u64;
-    let mut escalated_full = 0u64;
-    let mut dropped_calls = 0u64;
-    let mut seu_invalidations = 0u64;
-    let mut next_call = vec![0usize; apps.len()];
-    let mut timeline = Timeline::default();
-    let mut records = Vec::new();
-    let mut stats: Vec<AppStats> = apps
-        .iter()
-        .map(|a| AppStats {
-            app: a.id,
-            turnaround_s: 0.0,
-            exec_s: 0.0,
-            calls: 0,
-            hits: 0,
-        })
-        .collect();
-
-    let mut queue: EventQueue<Issue> = EventQueue::instrumented_with_capacity(registry, apps.len());
-    for app in apps {
-        if !app.calls.is_empty() {
-            let prio = match config.scheduler {
-                SchedulerKind::Fcfs => 128,
-                SchedulerKind::Priority => app.priority,
-            };
-            queue.schedule_with_priority(
-                SimTime::ZERO + SimDuration::from_secs_f64(app.arrival_s),
-                prio,
-                Issue { app: app.id },
-            );
-        }
-    }
-
-    while let Some((now, Issue { app: app_id })) = queue.pop() {
-        let app = &apps[app_id];
-        let call = &app.calls[next_call[app_id]];
-        let t_task = SimDuration::from_secs_f64(call.t_task_s);
-        let call_seq = seq;
-        seq += 1;
-
-        let resident = slots
-            .iter()
-            .position(|s| s.module.as_deref() == Some(call.module.as_str()));
-        let (slot_idx, exec_ready, hit, config_s, fate) = match resident {
-            Some(s) => (
-                s,
-                now.max(slots[s].free_at),
-                true,
-                0.0,
-                hprc_fault::CallFate::clean_partial(),
-            ),
-            None => {
-                // LRU victim among usable PRRs; with every PRR retired
-                // the chain is forced full and slot 0 stands in for the
-                // whole device.
-                let victim = (0..slots.len())
-                    .filter(|&i| !state.is_blacklisted(i))
-                    .min_by_key(|&i| (slots[i].free_at, slots[i].last_used, i))
-                    .unwrap_or(0);
-                let fate = match config.mode {
-                    ReconfigMode::Frtr => state.on_full(call_seq),
-                    ReconfigMode::Prtr => state.on_miss(call_seq, victim),
-                };
-                let chain_s = fate.chain_s(&plan.policy, t_partial_s, t_full_s);
-                let cfg_start = now.max(slots[victim].free_at).max(config_port_free);
-                let cfg_end = cfg_start + SimDuration::from_secs_f64(chain_s);
-                config_port_free = cfg_end;
-                config_busy_s += chain_s;
-                // The successful configuration closes the chain; every
-                // earlier attempt and backoff is one Recovery stretch.
-                let success_kind =
-                    if config.mode == ReconfigMode::Frtr || fate.escalated || fate.forced_full {
-                        EventKind::FullConfig
-                    } else {
-                        EventKind::PartialConfig
-                    };
-                let clean_s = if fate.dropped {
-                    0.0
-                } else if success_kind == EventKind::FullConfig {
-                    t_full_s
-                } else {
-                    t_partial_s
-                };
-                let success_start =
-                    cfg_start + SimDuration::from_secs_f64((chain_s - clean_s).max(0.0));
-                if success_start > cfg_start {
-                    timeline.push(
-                        Lane::ConfigPort,
-                        EventKind::Recovery,
-                        format!("rcv:{}(app{})", call.module, app_id),
-                        cfg_start,
-                        success_start,
-                    );
-                }
-                if fate.escalated || fate.forced_full {
-                    escalated_full += 1;
-                }
-                if fate.injected() > 0 {
-                    injected += fate.injected();
-                }
-                if fate.escalated || fate.forced_full || config.mode == ReconfigMode::Frtr {
-                    // A full bitstream overwrites the whole device.
-                    for s in slots.iter_mut() {
-                        s.module = None;
-                    }
-                }
-                if fate.dropped {
-                    dropped_calls += 1;
-                } else {
-                    if fate.injected() > 0 {
-                        recovered += 1;
-                    }
-                    n_config += 1;
-                    timeline.push(
-                        Lane::ConfigPort,
-                        success_kind,
-                        format!("cfg:{}(app{})", call.module, app_id),
-                        success_start,
-                        cfg_end,
-                    );
-                    if !state.is_blacklisted(victim) || config.mode == ReconfigMode::Frtr {
-                        slots[victim].module = Some(call.module.clone());
-                    }
-                }
-                (victim, cfg_end, false, chain_s, fate)
-            }
-        };
-
-        if fate.dropped {
-            // The call is surfaced as a zero-length record: no control
-            // hand-off, no execution window, the app simply moves on.
-            slots[slot_idx].free_at = slots[slot_idx].free_at.max(exec_ready);
-            slots[slot_idx].last_used = exec_ready;
-            stats[app_id].calls += 1;
-            records.push(CallRecord {
-                app: app_id,
-                module: call.module.clone(),
-                slot: slot_idx,
-                hit: false,
-                issued: now,
-                config_s,
-                exec_start: exec_ready,
-                exec_end: exec_ready,
-            });
-            m_calls.inc();
-            m_dispatch.record((exec_ready - now).as_secs_f64());
-        } else {
-            let control_end = exec_ready + t_control;
-            timeline.push(
-                Lane::Host,
-                EventKind::Control,
-                format!("ctl:app{app_id}"),
-                exec_ready,
-                control_end,
-            );
-            let exec_start = control_end;
-            let exec_end = exec_start + t_task;
-            timeline.push(
-                Lane::Prr(slot_idx),
-                EventKind::Exec,
-                format!("{}(app{})", call.module, app_id),
-                exec_start,
-                exec_end,
-            );
-            slots[slot_idx].free_at = exec_end;
-            slots[slot_idx].last_used = exec_end;
-
-            stats[app_id].calls += 1;
-            stats[app_id].exec_s += t_task.as_secs_f64();
-            if hit {
-                stats[app_id].hits += 1;
-            }
-            records.push(CallRecord {
-                app: app_id,
-                module: call.module.clone(),
-                slot: slot_idx,
-                hit,
-                issued: now,
-                config_s,
-                exec_start,
-                exec_end,
-            });
-            m_calls.inc();
-            if hit {
-                m_hits.inc();
-            }
-            m_dispatch.record((exec_start - now).as_secs_f64());
-        }
-
-        // SEU sweep: seeded upsets silently corrupt resident modules.
-        for (s, slot) in slots.iter_mut().enumerate() {
-            if slot.module.is_some() && state.seu_strikes(call_seq, s) {
-                slot.module = None;
-                seu_invalidations += 1;
-            }
-        }
-
-        // Optional overlap, demand chains only draw faults: the
-        // prefetched configuration is charged clean and only lands in a
-        // usable PRR.
-        if config.prefetch_next && config.mode == ReconfigMode::Prtr && slots.len() > 1 {
-            if let Some(next) = app.calls.get(next_call[app_id] + 1) {
-                let already = slots
-                    .iter()
-                    .any(|s| s.module.as_deref() == Some(next.module.as_str()));
-                let victim = (0..slots.len())
-                    .filter(|&i| i != slot_idx && !state.is_blacklisted(i))
-                    .min_by_key(|&i| (slots[i].free_at, slots[i].last_used, i));
-                if let (false, Some(victim)) = (already, victim) {
-                    let pf_anchor = records.last().map_or(now, |r| r.exec_start);
-                    let cfg_start = pf_anchor.max(slots[victim].free_at).max(config_port_free);
-                    let cfg_end = cfg_start + t_config;
-                    config_port_free = cfg_end;
-                    config_busy_s += t_config.as_secs_f64();
-                    n_config += 1;
-                    timeline.push(
-                        Lane::ConfigPort,
-                        EventKind::PartialConfig,
-                        format!("pf:{}(app{})", next.module, app_id),
-                        cfg_start,
-                        cfg_end,
-                    );
-                    slots[victim].module = Some(next.module.clone());
-                    slots[victim].free_at = slots[victim].free_at.max(cfg_end);
-                }
-            }
-        }
-
-        next_call[app_id] += 1;
-        if next_call[app_id] < app.calls.len() {
-            let prio = match config.scheduler {
-                SchedulerKind::Fcfs => 128,
-                SchedulerKind::Priority => app.priority,
-            };
-            let resume = records.last().map_or(now, |r| r.exec_end);
-            queue.schedule_with_priority(resume, prio, Issue { app: app_id });
-        } else {
-            let done = records.last().map_or(now, |r| r.exec_end);
-            stats[app_id].turnaround_s = done.as_secs_f64() - app.arrival_s;
-        }
-    }
-
-    let makespan_s = records
-        .iter()
-        .map(|r| r.exec_end.as_secs_f64())
-        .fold(0.0, f64::max);
-    let report = RunReport {
-        makespan_s,
-        per_app: stats,
-        records,
-        n_config,
-        config_busy_s,
-        timeline,
-    };
-    m_configs.add(report.n_config);
-    if registry.is_enabled() {
-        registry.gauge("virt.makespan_s").set(report.makespan_s);
-        registry.gauge("virt.hit_ratio").set(report.hit_ratio());
-        report.timeline.record_metrics(registry, "virt");
-        registry.counter("virt.fault.injected").add(injected);
-        registry.counter("virt.fault.recovered").add(recovered);
-        registry
-            .counter("virt.fault.escalated_full")
-            .add(escalated_full);
-        registry.counter("virt.fault.dropped").add(dropped_calls);
-        registry
-            .counter("virt.fault.seu_invalidations")
-            .add(seu_invalidations);
-        registry
-            .gauge("virt.fault.blacklisted_slots")
-            .set(state.blacklisted_slots() as f64);
-    }
-    j.metric("virt.calls", report.records.len() as u64);
-    j.metric("virt.configs", report.n_config);
-    j.metric("virt.fault.injected", injected);
-    j.metric("virt.fault.recovered", recovered);
-    j.metric("virt.fault.dropped", dropped_calls);
     j.exit(js, (report.makespan_s * 1e9).round() as u64);
     Ok(FaultyRunReport {
         report,
@@ -1075,6 +836,33 @@ mod tests {
         let fsnap = fctx.registry.snapshot();
         assert_eq!(csnap.counters, fsnap.counters);
         assert_eq!(csnap.histograms, fsnap.histograms);
+    }
+
+    #[test]
+    fn armed_plan_without_faults_reproduces_run() {
+        // Armed, but no fault ever fires: every chain is one clean
+        // configuration and must be charged exactly as `run` charges it.
+        let node = node();
+        let plan = hprc_fault::FaultPlan::new(
+            hprc_fault::FaultSpec {
+                p_seu: 1e-15,
+                ..Default::default()
+            },
+            hprc_fault::RecoveryPolicy::default(),
+            5,
+        );
+        assert!(plan.armed());
+        let mk = || App::cycling(0, "a", &cores(), 40, 0.005, 0.0);
+        for config in [
+            RuntimeConfig::prtr_overlapped(),
+            RuntimeConfig::prtr_demand(),
+            RuntimeConfig::frtr(),
+        ] {
+            let clean = run(&node, &[mk()], &config, &dctx()).unwrap();
+            let faulty = run_faulty(&node, &[mk()], &config, &plan, &dctx()).unwrap();
+            assert_eq!(faulty.recovered + faulty.dropped_calls, 0);
+            assert_eq!(clean, faulty.report, "{config:?}");
+        }
     }
 
     #[test]
