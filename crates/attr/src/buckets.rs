@@ -158,12 +158,6 @@ impl Buckets {
         self.hidden_config_ns + self.visible_config_ns
     }
 
-    /// Wall-clock time with at least one task executing (ns): the exec
-    /// bucket plus the hidden-configuration overlap that runs under it.
-    pub fn exec_wall_ns(&self) -> u64 {
-        self.exec_ns + self.hidden_config_ns
-    }
-
     /// Hiding efficiency `hidden_config / total_config` — the fraction
     /// of configuration time the runtime kept off the critical path
     /// (the quantity behind equation (5)'s `max` terms). `None` when the
@@ -266,7 +260,7 @@ mod tests {
     }
 
     #[test]
-    fn exec_wall_includes_hidden_config() {
+    fn total_config_includes_hidden_config() {
         let mut tl = Timeline::default();
         tl.push(Lane::Prr(0), EventKind::Exec, "a", t(0.0), t(2.0));
         tl.push(
@@ -277,7 +271,6 @@ mod tests {
             t(1.5),
         );
         let b = Buckets::checked_from_timeline(&tl);
-        assert_eq!(b.exec_wall_ns(), 2_000_000_000);
         assert_eq!(b.total_config_ns(), 1_000_000_000);
     }
 }

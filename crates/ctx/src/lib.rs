@@ -1,16 +1,18 @@
 //! # hprc-ctx
 //!
 //! The execution-context layer: one [`ExecCtx`] struct carrying every
-//! cross-cutting concern of a run — the observability [`Registry`], the
-//! deterministic base RNG seed, the platform [`Calibration`], and the
-//! parallelism budget — threaded through all substrates (`hprc-sim`,
-//! `hprc-sched`, `hprc-virt`, `hprc-exp`) so each entry point exists
-//! exactly once instead of as a `foo()` / `foo_with(&Registry)` twin.
+//! cross-cutting concern of a run — the observability [`Registry`] and
+//! [`Journal`], the deterministic base RNG seed, the parallelism budget,
+//! the [`RunBudget`] and the [`DeltaCache`] — threaded through all
+//! substrates (`hprc-sim`, `hprc-sched`, `hprc-virt`, `hprc-exp`) so
+//! each entry point exists exactly once instead of as a `foo()` /
+//! `foo_with(&Registry)` twin.
 //!
 //! [`ExecCtx::default()`] reproduces the plain, uninstrumented, serial
 //! behavior bit-for-bit: a no-op registry, seed base 0 (the XOR
-//! identity, so explicit per-call seeds pass through unchanged), the
-//! measured XD1 calibration, and a parallelism budget of one.
+//! identity, so explicit per-call seeds pass through unchanged), a
+//! parallelism budget of one, an unlimited run budget and a disabled
+//! delta cache.
 //!
 //! ```
 //! use hprc_ctx::ExecCtx;
@@ -35,30 +37,13 @@
 #![warn(missing_docs)]
 
 pub mod symbol;
-pub mod timing;
 
 pub use symbol::Symbol;
 
 use hprc_obs::{DeltaCache, Journal, Registry, RunBudget};
 
-/// Which calibration of the modeled platform a run uses.
-///
-/// Table 2 of the paper gives two timing columns for the Cray XD1:
-/// *measured* (vendor-API software overhead, ICAP FSM costs) and
-/// *estimated* (raw 66 MB/s SelectMap-rate transfers). Substrates map
-/// this selection onto concrete node parameters (e.g.
-/// `NodeConfig::for_calibration` in `hprc-sim`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Calibration {
-    /// Measured configuration times (Table 2's "measured" column).
-    #[default]
-    Measured,
-    /// Estimated configuration times (raw port-rate transfers).
-    Estimated,
-}
-
 /// The execution context for one run: observability, determinism,
-/// platform selection, and parallelism, in one cheap-to-clone handle.
+/// parallelism and budgets, in one cheap-to-clone handle.
 ///
 /// Every substrate entry point takes `&ExecCtx` as its last parameter.
 /// Cloning clones the registry *handle* (an `Arc`, or nothing for a
@@ -76,9 +61,6 @@ pub struct ExecCtx {
     /// [`ExecCtx::seed_for`] (XOR), so the default base 0 leaves
     /// explicit seeds untouched.
     pub seed: u64,
-    /// Platform/calibration selection for runs that build their own
-    /// node configuration.
-    pub calibration: Calibration,
     /// Parallelism budget for sweep runners (worker threads). Clamped
     /// to at least 1 by consumers; 1 means strictly serial.
     pub jobs: usize,
@@ -101,7 +83,6 @@ impl Default for ExecCtx {
             registry: Registry::noop(),
             journal: Journal::noop(),
             seed: 0,
-            calibration: Calibration::default(),
             jobs: 1,
             budget: RunBudget::unlimited(),
             delta: DeltaCache::disabled(),
@@ -110,8 +91,8 @@ impl Default for ExecCtx {
 }
 
 impl ExecCtx {
-    /// The default context: no-op registry, seed base 0, measured
-    /// calibration, serial execution.
+    /// The default context: no-op registry and journal, seed base 0,
+    /// serial execution.
     pub fn new() -> Self {
         Self::default()
     }
@@ -134,13 +115,6 @@ impl ExecCtx {
     #[must_use]
     pub fn with_seed(mut self, seed: u64) -> Self {
         self.seed = seed;
-        self
-    }
-
-    /// Replaces the calibration selection.
-    #[must_use]
-    pub fn with_calibration(mut self, calibration: Calibration) -> Self {
-        self.calibration = calibration;
         self
     }
 
@@ -207,7 +181,6 @@ impl ExecCtx {
             },
             journal: self.journal.fork(),
             seed: self.seed,
-            calibration: self.calibration,
             jobs: 1,
             // Children and forks get a fresh unlimited budget: a shared
             // budget charged from parallel workers would make exhaustion
@@ -231,20 +204,15 @@ mod tests {
         let ctx = ExecCtx::default();
         assert!(!ctx.registry.is_enabled());
         assert_eq!(ctx.seed, 0);
-        assert_eq!(ctx.calibration, Calibration::Measured);
         assert_eq!(ctx.effective_jobs(), 1);
         assert_eq!(ctx.seed_for(1234), 1234);
     }
 
     #[test]
     fn builders_compose() {
-        let ctx = ExecCtx::new()
-            .with_seed(9)
-            .with_jobs(0)
-            .with_calibration(Calibration::Estimated);
+        let ctx = ExecCtx::new().with_seed(9).with_jobs(0);
         assert_eq!(ctx.seed, 9);
         assert_eq!(ctx.jobs, 1, "jobs 0 clamps to 1");
-        assert_eq!(ctx.calibration, Calibration::Estimated);
     }
 
     #[test]
@@ -253,7 +221,6 @@ mod tests {
         let c = ctx.child(0b0110);
         assert_eq!(c.seed, 0b1100);
         assert_eq!(c.jobs, 1);
-        assert_eq!(c.calibration, ctx.calibration);
         // Noop parent => noop children (no accidental instrumentation).
         assert!(!c.registry.is_enabled());
     }

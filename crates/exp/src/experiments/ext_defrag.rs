@@ -1,7 +1,7 @@
 //! E11 — Allocation and defragmentation: variable-width modules churning
 //! through a reconfigurable window fragment it until allocations fail;
 //! relocation-based compaction (the subject of the paper's reference
-//! [24]) restores placeability at a measurable reconfiguration cost.
+//! \[24\]) restores placeability at a measurable reconfiguration cost.
 
 use hprc_ctx::ExecCtx;
 use hprc_fpga::allocator::WindowAllocator;

@@ -302,7 +302,6 @@ pub fn run_fleet(
                 Journal::noop()
             },
             seed: ctx.seed ^ i as u64,
-            calibration: ctx.calibration,
             jobs: 1,
             budget: budgets
                 .as_ref()

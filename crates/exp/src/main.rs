@@ -38,8 +38,6 @@ fn usage() -> String {
          \x20               [--run-id ID] [--crash-at SEQ] [all | id...]\n\
          \x20      hprc-exp resume RUN_ID [--out DIR] [--trace DIR] [--jobs N]\n\
          \x20      hprc-exp list\n\
-         \x20      hprc-exp bench [--repeat K] [--out-file PATH] [--check BASELINE]\n\
-         \x20                     [--update-baseline] [--threshold X] [--jobs N] [--seed S]\n\
          \x20      hprc-exp journal [summarize FILE | diff A B |\n\
          \x20                        replay-check [--jobs N] FILE...]\n\
          \n\
@@ -64,12 +62,6 @@ fn usage() -> String {
          \n\
          list: print every experiment id with a one-line description.\n\
          \n\
-         bench: wall-clock-time every experiment (p50 over K repetitions, default 3)\n\
-         and write a schema-stable BENCH_<YYYYMMDD>.json (or --out-file PATH) at the\n\
-         repo root; with --check, compare p50s against a committed baseline at\n\
-         --threshold (default 2.0) and exit non-zero on regression or schema drift;\n\
-         with --update-baseline, also rewrite BENCH_BASELINE.json in place.\n\
-         \n\
          journal: analyze the causal run journals --trace writes — summarize one,\n\
          diff two (first divergent line; exit 1 on divergence), or replay-check:\n\
          re-run each journal's experiment from its recorded (experiment, seed)\n\
@@ -78,148 +70,6 @@ fn usage() -> String {
          ids: {}",
         hprc_exp::ALL_EXPERIMENTS.join(" ")
     )
-}
-
-fn bench_main(args: impl Iterator<Item = String>) -> ExitCode {
-    let mut repeat: usize = 3;
-    let mut out_file: Option<PathBuf> = None;
-    let mut check: Option<PathBuf> = None;
-    let mut update_baseline = false;
-    let mut threshold: f64 = 2.0;
-    let mut jobs: usize = 1;
-    let mut seed: u64 = 0;
-    let mut args = args;
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--repeat" => match args.next().and_then(|n| n.parse::<usize>().ok()) {
-                Some(n) if n > 0 => repeat = n,
-                _ => {
-                    eprintln!("--repeat requires a positive integer");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--out-file" => match args.next() {
-                Some(p) => out_file = Some(PathBuf::from(p)),
-                None => {
-                    eprintln!("--out-file requires a path");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--check" => match args.next() {
-                Some(p) => check = Some(PathBuf::from(p)),
-                None => {
-                    eprintln!("--check requires a baseline path");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--update-baseline" => update_baseline = true,
-            "--threshold" => match args.next().and_then(|x| x.parse::<f64>().ok()) {
-                Some(x) if x > 0.0 => threshold = x,
-                _ => {
-                    eprintln!("--threshold requires a positive number");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--jobs" => match args.next().and_then(|n| n.parse::<usize>().ok()) {
-                Some(n) if n > 0 => jobs = n,
-                _ => {
-                    eprintln!("--jobs requires a positive integer");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--seed" => match args.next().and_then(|s| s.parse::<u64>().ok()) {
-                Some(s) => seed = s,
-                None => {
-                    eprintln!("--seed requires an unsigned integer\n\n{}", usage());
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--help" | "-h" => {
-                println!("{}", usage());
-                return ExitCode::SUCCESS;
-            }
-            other => {
-                eprintln!("unknown bench argument: {other}\n\n{}", usage());
-                return ExitCode::FAILURE;
-            }
-        }
-    }
-
-    let report = hprc_exp::bench::run_bench(repeat, seed, jobs);
-    for e in &report.entries {
-        println!(
-            "{:<16} p50 {:>8.2} ms  (min {:>8.2}, max {:>8.2}, spans {})  \
-             delta cold {:>8.2} ms / warm {:>8.2} ms ({:.1}x)",
-            e.id,
-            e.p50_ms,
-            e.min_ms,
-            e.max_ms,
-            e.spans,
-            e.cold_ms,
-            e.warm_ms,
-            e.cold_ms / e.warm_ms.max(1e-9)
-        );
-    }
-    println!(
-        "bench total: {:.1} ms over {} experiments x {} repetition(s)",
-        report.total_ms,
-        report.entries.len(),
-        report.repeat
-    );
-    println!(
-        "delta whole-sweep: cold {:.1} ms, warm {:.1} ms ({:.1}x)",
-        report.suite_cold_ms,
-        report.suite_warm_ms,
-        report.suite_cold_ms / report.suite_warm_ms.max(1e-9)
-    );
-
-    let path = out_file.unwrap_or_else(|| PathBuf::from(report.default_filename()));
-    let json = match serde_json::to_string_pretty(&report) {
-        Ok(j) => j,
-        Err(e) => {
-            eprintln!("error: could not serialize bench report: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let json = json + "\n";
-    // Atomic writes: an interrupted bench can never leave a truncated
-    // report — or, worse, a truncated committed baseline.
-    if let Err(e) = hprc_obs::artifact::write_atomic(&path, json.as_bytes()) {
-        eprintln!("error: could not write {}: {e}", path.display());
-        return ExitCode::FAILURE;
-    }
-    println!("bench report written to {}", path.display());
-
-    if update_baseline {
-        let baseline_path = PathBuf::from("BENCH_BASELINE.json");
-        if let Err(e) = hprc_obs::artifact::write_atomic(&baseline_path, json.as_bytes()) {
-            eprintln!("error: could not write {}: {e}", baseline_path.display());
-            return ExitCode::FAILURE;
-        }
-        println!("baseline updated at {}", baseline_path.display());
-    }
-
-    if let Some(baseline_path) = check {
-        let baseline = match hprc_exp::bench::load(&baseline_path) {
-            Ok(b) => b,
-            Err(e) => {
-                eprintln!("error: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        let violations = hprc_exp::bench::compare(&report, &baseline, threshold);
-        if !violations.is_empty() {
-            for v in &violations {
-                eprintln!("bench regression: {v}");
-            }
-            return ExitCode::FAILURE;
-        }
-        println!(
-            "bench check passed against {} (threshold {threshold}x)",
-            baseline_path.display()
-        );
-    }
-    ExitCode::SUCCESS
 }
 
 fn main() -> ExitCode {
@@ -233,7 +83,6 @@ fn main() -> ExitCode {
     let mut ids: Vec<String> = Vec::new();
     let mut args = std::env::args().skip(1);
     match std::env::args().nth(1).as_deref() {
-        Some("bench") => return bench_main(args.skip(1)),
         Some("journal") => return hprc_exp::journal_cli::journal_main(args.skip(1)),
         Some("resume") => return hprc_exp::recover::resume_main(args.skip(1)),
         Some("list") => {

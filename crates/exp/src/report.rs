@@ -69,19 +69,6 @@ pub fn series_csv_text(series: &[(String, Vec<(f64, f64)>)]) -> String {
     out
 }
 
-/// Atomically writes and seals `(x, y)` series as `<dir>/<id>.csv`
-/// (long format: `label,x,y`, plus a `.crc` sidecar).
-pub fn write_series_csv(
-    dir: &Path,
-    id: &str,
-    series: &[(String, Vec<(f64, f64)>)],
-) -> io::Result<PathBuf> {
-    fs::create_dir_all(dir)?;
-    let path = dir.join(format!("{id}.csv"));
-    hprc_obs::artifact::seal(&path, series_csv_text(series).as_bytes())?;
-    Ok(path)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -100,18 +87,12 @@ mod tests {
     }
 
     #[test]
-    fn writes_json_and_csv() {
+    fn writes_json_and_renders_csv() {
         let dir = std::env::temp_dir().join(format!("hprc-exp-test-{}", std::process::id()));
         let r = Report::new("demo", "Demo", String::new(), &serde_json::json!([1, 2, 3]));
         let p = r.write_json(&dir).unwrap();
         assert!(p.exists());
-        let csv = write_series_csv(
-            &dir,
-            "curves",
-            &[("a".into(), vec![(1.0, 2.0), (3.0, 4.0)])],
-        )
-        .unwrap();
-        let content = fs::read_to_string(csv).unwrap();
+        let content = series_csv_text(&[("a".into(), vec![(1.0, 2.0), (3.0, 4.0)])]);
         assert!(content.contains("a,1,2"));
         fs::remove_dir_all(dir).unwrap();
     }

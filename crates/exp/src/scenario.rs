@@ -182,9 +182,7 @@ impl FaultyPointRun {
 
 /// [`run_point_full`] with the fault plan threaded through both the
 /// cache layer ([`simulate_faulty`](hprc_sched::simulate_faulty)) and
-/// the executors
-/// ([`run_prtr_faulty`](hprc_sim::executor::run_prtr_faulty) /
-/// [`run_frtr_faulty`](hprc_sim::executor::run_frtr_faulty)).
+/// the executors ([`run_prtr_faulty`] / [`run_frtr_faulty`]).
 ///
 /// `trace_seed` is the *resolved* workload seed, used verbatim (not
 /// re-derived through [`ExecCtx::seed_for`]) — callers sweeping fault

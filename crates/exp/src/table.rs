@@ -90,15 +90,6 @@ impl TextTable {
     }
 }
 
-/// Formats a float with `digits` significant-looking decimals, trimming
-/// trailing noise for table readability.
-pub fn fmt_f64(v: f64, digits: usize) -> String {
-    if v.is_infinite() {
-        return "inf".into();
-    }
-    format!("{v:.digits$}")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -124,11 +115,5 @@ mod tests {
     fn arity_mismatch_panics() {
         let mut t = TextTable::new(vec!["a", "b"]);
         t.row(vec!["only-one"]);
-    }
-
-    #[test]
-    fn fmt_handles_infinity() {
-        assert_eq!(fmt_f64(f64::INFINITY, 2), "inf");
-        assert_eq!(fmt_f64(1.23456, 2), "1.23");
     }
 }

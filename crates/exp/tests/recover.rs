@@ -1,12 +1,16 @@
 //! Crash-safety end-to-end tests: artifact sealing vs torn/corrupt
-//! files (property-based), deterministic `--crash-at` injection, and
+//! files and the manifest parser vs torn or gapped manifests
+//! (property-based), deterministic `--crash-at` injection, and
 //! `hprc-exp resume` byte-identity at every crash point.
 
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::process::Command;
+use std::sync::OnceLock;
 
+use hprc_exp::recover::parse_manifest;
 use hprc_obs::artifact::{self, ArtifactState};
+use hprc_obs::manifest::{ArtifactDirKind, Manifest};
 use proptest::prelude::*;
 
 fn exe() -> &'static str {
@@ -33,6 +37,43 @@ fn artifact_tree(dir: &Path) -> BTreeMap<String, Vec<u8>> {
         tree.insert(name, std::fs::read(entry.path()).expect("read artifact"));
     }
     tree
+}
+
+/// A complete manifest written through the `Manifest` API: intent, two
+/// points with two seals each, run-complete — ten lines, seqs 0-9.
+fn sample_manifest() -> &'static str {
+    static TEXT: OnceLock<String> = OnceLock::new();
+    TEXT.get_or_init(|| {
+        let dir = tmp_dir("sample-manifest");
+        let path = dir.join("run.manifest.jsonl");
+        let mut m = Manifest::create(&path, None).expect("create manifest");
+        let ids = ["fig9a".to_string(), "ext-faults".to_string()];
+        m.intent("run", &ids, 7, true).expect("intent");
+        for id in &ids {
+            m.point_begin(id).expect("point-begin");
+            m.artifact_sealed(
+                id,
+                ArtifactDirKind::Out,
+                &format!("{id}.json"),
+                0xdead_beef,
+                812,
+            )
+            .expect("seal");
+            m.artifact_sealed(
+                id,
+                ArtifactDirKind::Trace,
+                &format!("{id}.trace.json"),
+                0x0bad_f00d,
+                96,
+            )
+            .expect("seal");
+            m.point_complete(id).expect("point-complete");
+        }
+        m.run_complete().expect("run-complete");
+        let text = std::fs::read_to_string(&path).expect("read manifest");
+        let _ = std::fs::remove_dir_all(&dir);
+        text
+    })
 }
 
 fn run_sweep(out: &Path, jobs: &str, crash_at: Option<u64>) -> std::process::Output {
@@ -117,6 +158,44 @@ proptest! {
             "garbage sidecar {garbage:?} must not verify clean, got {state}"
         );
         let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
+proptest! {
+    /// A manifest cut at any byte offset — a crash mid-append — is
+    /// rejected exactly when its intent line is incomplete. Otherwise
+    /// every complete line is kept and the torn tail dropped: `next_seq`
+    /// counts the newlines and `valid_bytes` ends just after the last.
+    #[test]
+    fn manifest_truncated_anywhere_keeps_its_complete_lines(k in 0..=sample_manifest().len()) {
+        let text = sample_manifest();
+        let intent_len = text.find('\n').expect("intent line") + 1;
+        let prefix = &text[..k];
+        match parse_manifest(prefix) {
+            Err(e) => prop_assert!(k < intent_len, "cut at {k} rejected: {e}"),
+            Ok(p) => {
+                prop_assert!(k >= intent_len, "cut at {k} inside the intent line parsed");
+                prop_assert_eq!(p.next_seq, prefix.matches('\n').count() as u64);
+                prop_assert_eq!(p.valid_bytes, prefix.rfind('\n').map_or(0, |i| i + 1));
+                prop_assert_eq!(p.run_complete, k == text.len());
+            }
+        }
+    }
+
+    /// A manifest missing any one line but its last has a seq gap,
+    /// which the parser rejects as out of order.
+    #[test]
+    fn manifest_missing_a_line_is_out_of_order(gone in 0..sample_manifest().lines().count() - 1) {
+        let without: String = sample_manifest()
+            .split_inclusive('\n')
+            .enumerate()
+            .filter(|&(i, _)| i != gone)
+            .map(|(_, line)| line)
+            .collect();
+        match parse_manifest(&without) {
+            Err(e) => prop_assert!(e.contains("out of order"), "line {gone} deleted: {e}"),
+            Ok(_) => prop_assert!(false, "line {gone} deleted, yet the manifest parsed"),
+        }
     }
 }
 

@@ -501,7 +501,8 @@ impl FaultPlan {
     /// serves calls `0..k` and is dead for the rest). Draws from its
     /// own stream ([`NODE_KILL_SALT`]), so node kills never collide
     /// with per-call configuration fates, and the uniforms are coupled
-    /// across `p_kill` exactly like [`FaultPlan::draw`]: raising the
+    /// across `p_kill` exactly like the per-attempt draws behind
+    /// [`FaultPlan::partial_attempt`]: raising the
     /// kill probability only adds kills and can only move a kill
     /// earlier — fleet availability degrades monotonically.
     pub fn node_kill_call(&self, node: u64, n_calls: u64, p_kill: f64) -> Option<u64> {

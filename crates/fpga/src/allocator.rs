@@ -2,7 +2,7 @@
 //!
 //! The configuration-caching literature the paper builds on assumes
 //! modules can be placed in variable-size regions and *defragmented* (its
-//! reference [24]: "... Partial Reconfigurable Coprocessor with Relocation
+//! reference \[24\]: "... Partial Reconfigurable Coprocessor with Relocation
 //! and Defragmentation"). This module implements that layer over the
 //! column-addressed device: modules request a column width inside a
 //! reconfigurable window, a first-fit allocator places them, and a

@@ -8,40 +8,6 @@
 
 use serde::{Deserialize, Serialize};
 
-/// Direction of a (Virtex-II era, unidirectional) bus macro.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum BusMacroDirection {
-    /// Signals flow from the static region into the PRR.
-    Right2Left,
-    /// Signals flow from the PRR into the static region.
-    Left2Right,
-}
-
-/// One bus macro: an 8-bit fixed bridge implemented as 8 LUT pairs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct BusMacro {
-    /// Signal direction.
-    pub direction: BusMacroDirection,
-    /// Signals carried (8 for the classic Virtex-II bus macro).
-    pub width_bits: u32,
-}
-
-impl BusMacro {
-    /// The classic 8-bit Virtex-II bus macro.
-    pub fn v2_8bit(direction: BusMacroDirection) -> Self {
-        BusMacro {
-            direction,
-            width_bits: 8,
-        }
-    }
-
-    /// LUTs consumed on **each** side of the boundary (one LUT per signal
-    /// per side).
-    pub fn luts_per_side(&self) -> u32 {
-        self.width_bits
-    }
-}
-
 /// The set of bus macros wiring one PRR to the static region.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct BusMacroSet {
@@ -82,11 +48,5 @@ mod tests {
         let s = BusMacroSet::xd1_prr_interface();
         assert_eq!(s.total_signals(), 144);
         assert_eq!(s.luts_per_side(), 144);
-    }
-
-    #[test]
-    fn single_macro_costs_its_width() {
-        let m = BusMacro::v2_8bit(BusMacroDirection::Left2Right);
-        assert_eq!(m.luts_per_side(), 8);
     }
 }

@@ -4,8 +4,8 @@
 //! device model (calibrated to the **XC2VP50** of the Cray XD1), its
 //! column-oriented configuration memory, partial-bitstream generation in
 //! both Xilinx flows, floorplanning with Partially Reconfigurable Regions
-//! (PRRs) and bus macros, a hardware-module library matching the paper's
-//! Table 1, and first-order synthesis estimation.
+//! (PRRs) and bus macros, and a hardware-module library matching the
+//! paper's Table 1.
 //!
 //! Modules:
 //!
@@ -20,15 +20,12 @@
 //! * [`ports`] — SelectMap/JTAG/ICAP configuration interfaces;
 //! * [`module`] — the hardware library of Table 1;
 //! * [`placement`] — fitting modules into PRRs / the static region;
-//! * [`estimate`] — structural resource estimation for new cores;
-//! * [`relocation`] — retargeting partial bitstreams across
-//!   shape-compatible PRRs (the literature's relocation assumption made
+//! * [`relocation`] — shape compatibility of PRRs for relocating
+//!   partial bitstreams (the literature's relocation assumption made
 //!   explicit);
 //! * [`compress`] — frame-oriented RLE bitstream compression;
 //! * [`allocator`] — first-fit column allocation inside a reconfigurable
 //!   window, with relocation-based defragmentation;
-//! * [`wire`] — the packetized wire format (sync/IDCODE/FAR/CRC) with a
-//!   validating decoder;
 //! * [`resources`] — LUT/FF/BRAM bookkeeping and utilization.
 //!
 //! ## Example: Table 2's bitstream sizes from first principles
@@ -50,7 +47,6 @@ pub mod busmacro;
 pub mod compress;
 pub mod device;
 pub mod error;
-pub mod estimate;
 pub mod floorplan;
 pub mod frames;
 pub mod module;
@@ -58,7 +54,6 @@ pub mod placement;
 pub mod ports;
 pub mod relocation;
 pub mod resources;
-pub mod wire;
 
 pub use bitstream::{Bitstream, BitstreamKind};
 pub use device::{ColumnKind, Device};

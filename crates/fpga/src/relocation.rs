@@ -1,8 +1,8 @@
-//! Bitstream relocation: retargeting a module's partial bitstream from one
-//! PRR to another.
+//! Bitstream relocation: whether a module's partial bitstream can be
+//! retargeted from one PRR to another.
 //!
 //! The configuration-caching literature the paper builds on (its reference
-//! [24], *"Configuration Prefetching Techniques for Partial Reconfigurable
+//! \[24\], *"Configuration Prefetching Techniques for Partial Reconfigurable
 //! Coprocessor with Relocation and Defragmentation"*) assumes a module can
 //! be loaded into *any* free region. On a real column-addressed device
 //! that only works when the target region is **shape-compatible**: the
@@ -11,11 +11,8 @@
 
 use serde::{Deserialize, Serialize};
 
-use crate::bitstream::{Bitstream, BitstreamKind};
 use crate::device::Device;
-use crate::error::FpgaError;
 use crate::floorplan::Region;
-use crate::frames::FrameAddress;
 
 /// Why two regions are (in)compatible for relocation.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -67,68 +64,10 @@ pub fn check_compatibility(device: &Device, from: &Region, to: &Region) -> Compa
     Compatibility::Compatible
 }
 
-/// Relocates a module-based partial bitstream from `from` to `to`,
-/// rewriting every frame address to the corresponding column of the target
-/// region. The payload is untouched (same logic, new place).
-///
-/// # Errors
-///
-/// [`FpgaError::BitstreamMismatch`] when the bitstream does not cover
-/// `from` exactly, or the regions are not shape-compatible.
-pub fn relocate(
-    device: &Device,
-    bitstream: &Bitstream,
-    from: &Region,
-    to: &Region,
-) -> Result<Bitstream, FpgaError> {
-    let from_cols = from.column_indices();
-    match &bitstream.kind {
-        BitstreamKind::Partial { columns } if *columns == from_cols => {}
-        other => {
-            return Err(FpgaError::BitstreamMismatch(format!(
-                "bitstream covers {other:?}, not region {}",
-                from.name
-            )))
-        }
-    }
-    let compat = check_compatibility(device, from, to);
-    if !compat.is_compatible() {
-        return Err(FpgaError::BitstreamMismatch(format!(
-            "regions {} and {} are not shape-compatible: {compat:?}",
-            from.name, to.name
-        )));
-    }
-    let to_cols = to.column_indices();
-    let frames = bitstream
-        .frames
-        .iter()
-        .map(|(addr, data)| {
-            let offset = from_cols
-                .iter()
-                .position(|&c| c == addr.column)
-                .expect("address within covered columns");
-            (
-                FrameAddress {
-                    column: to_cols[offset],
-                    minor: addr.minor,
-                },
-                data.clone(),
-            )
-        })
-        .collect();
-    Ok(Bitstream {
-        device_name: bitstream.device_name.clone(),
-        kind: BitstreamKind::Partial { columns: to_cols },
-        frames,
-        overhead_bytes: bitstream.overhead_bytes,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::floorplan::Floorplan;
-    use crate::frames::ConfigMemory;
 
     #[test]
     fn dual_prrs_are_shape_compatible() {
@@ -154,63 +93,5 @@ mod tests {
         // But widths differ for the last quarter (8 columns).
         let c = check_compatibility(&fp.device, &fp.prrs[0].region, &fp.prrs[3].region);
         assert_eq!(c, Compatibility::ColumnCountMismatch { from: 7, to: 8 });
-    }
-
-    #[test]
-    fn relocated_bitstream_configures_the_other_prr() {
-        let fp = Floorplan::xd1_dual_prr();
-        let (a, b) = (&fp.prrs[0].region, &fp.prrs[1].region);
-        // Build a module in PRR0.
-        let mut source = ConfigMemory::blank(&fp.device);
-        source.fill_region_pattern(&a.column_indices(), 77).unwrap();
-        let bs = Bitstream::partial_module_based(&fp.device, &source, &a.column_indices()).unwrap();
-        // Relocate to PRR1 and apply.
-        let relocated = relocate(&fp.device, &bs, a, b).unwrap();
-        assert_eq!(relocated.size_bytes(), bs.size_bytes());
-        let mut mem = ConfigMemory::blank(&fp.device);
-        relocated.apply(&mut mem).unwrap();
-        // Column-for-column, PRR1 now holds what PRR0 held in `source`.
-        for (ca, cb) in a.column_indices().iter().zip(b.column_indices()) {
-            for minor in 0..fp.device.columns[*ca].frames {
-                let fa = mem
-                    .read_frame(FrameAddress { column: cb, minor })
-                    .unwrap()
-                    .to_vec();
-                let fb = source
-                    .read_frame(FrameAddress { column: *ca, minor })
-                    .unwrap();
-                assert_eq!(fa, fb);
-            }
-        }
-        // PRR0 itself was untouched by the relocated bitstream.
-        assert!(mem
-            .read_frame(FrameAddress {
-                column: a.columns.start,
-                minor: 0
-            })
-            .unwrap()
-            .iter()
-            .all(|&x| x == 0));
-    }
-
-    #[test]
-    fn relocation_to_incompatible_region_rejected() {
-        let fp = Floorplan::xd1_dual_prr();
-        let a = &fp.prrs[0].region;
-        let mut mem = ConfigMemory::blank(&fp.device);
-        mem.fill_region_pattern(&a.column_indices(), 1).unwrap();
-        let bs = Bitstream::partial_module_based(&fp.device, &mem, &a.column_indices()).unwrap();
-        assert!(relocate(&fp.device, &bs, a, &fp.static_region).is_err());
-    }
-
-    #[test]
-    fn wrong_source_region_rejected() {
-        let fp = Floorplan::xd1_dual_prr();
-        let (a, b) = (&fp.prrs[0].region, &fp.prrs[1].region);
-        let mut mem = ConfigMemory::blank(&fp.device);
-        mem.fill_region_pattern(&a.column_indices(), 1).unwrap();
-        let bs = Bitstream::partial_module_based(&fp.device, &mem, &a.column_indices()).unwrap();
-        // Claim it came from PRR1: mismatch.
-        assert!(relocate(&fp.device, &bs, b, a).is_err());
     }
 }

@@ -159,53 +159,6 @@ pub fn numeric_supremum(base: &ModelParams, lo: f64, hi: f64, grid: usize) -> (f
     }
 }
 
-/// Finds the break-even task times where `S∞ = threshold` on
-/// `X_task ∈ [lo, hi]` (e.g. `threshold = 1.0` delimits the region where
-/// PRTR is beneficial at all). Returns every sign-change root found on a
-/// dense grid, refined by bisection.
-pub fn crossover_points(
-    base: &ModelParams,
-    threshold: f64,
-    lo: f64,
-    hi: f64,
-    grid: usize,
-) -> Vec<f64> {
-    assert!(lo > 0.0 && hi > lo && grid >= 2, "degenerate search range");
-    let f = |x: f64| {
-        let mut p = *base;
-        p.times.x_task = x;
-        asymptotic_speedup(&p) - threshold
-    };
-    let mut roots = Vec::new();
-    let mut prev_x = lo;
-    let mut prev_f = f(lo);
-    for i in 1..=grid {
-        let x = lo + (hi - lo) * i as f64 / grid as f64;
-        let fx = f(x);
-        if prev_f == 0.0 {
-            roots.push(prev_x);
-        } else if prev_f * fx < 0.0 {
-            // Bisection.
-            let (mut a, mut b) = (prev_x, x);
-            let mut fa = prev_f;
-            for _ in 0..100 {
-                let m = 0.5 * (a + b);
-                let fm = f(m);
-                if fa * fm <= 0.0 {
-                    b = m;
-                } else {
-                    a = m;
-                    fa = fm;
-                }
-            }
-            roots.push(0.5 * (a + b));
-        }
-        prev_x = x;
-        prev_f = fx;
-    }
-    roots
-}
-
 /// Verifies numerically (on a dense grid) that the long-task bound holds for
 /// a given `(h, x_prtr)`: `S∞(X_task) ≤ 2` for all `X_task ≥ 1`. Returns the
 /// largest observed value. Used by tests and by the EXPERIMENTS harness as a
@@ -284,42 +237,6 @@ mod tests {
         let (_, s) = numeric_supremum(&base, 1e-4, 10.0, 2000);
         assert!(s < peak_speedup_no_prefetch(0.17));
         assert!(s > 1.0);
-    }
-
-    #[test]
-    fn crossover_finds_break_even_with_large_decision_latency() {
-        // With a big decision latency PRTR loses for small tasks:
-        // denominator ≈ max(X_task + 2, ...) ≈ X_task + 2 > 1 + X_task = numerator.
-        let times = NormalizedTimes {
-            x_task: 0.1,
-            x_control: 0.0,
-            x_decision: 2.0,
-            x_prtr: 0.1,
-        };
-        let base = ModelParams::new(times, 0.0, 1).unwrap();
-        let roots = crossover_points(&base, 1.0, 1e-3, 100.0, 10_000);
-        // S∞ = (1+x)/(x+2) < 1 everywhere, so there is no crossover: always < 1.
-        assert!(roots.is_empty());
-        let mut p = base;
-        p.times.x_task = 50.0;
-        assert!(asymptotic_speedup(&p) < 1.0);
-    }
-
-    #[test]
-    fn crossover_located_where_expected() {
-        // H=0, X_control=0, X_decision=0.5, X_PRTR=0.1:
-        // S∞ = (1+x)/max(x+0.5, 0.1) = (1+x)/(x+0.5) > 1 for all x -> no root;
-        // with threshold 1.5: (1+x) = 1.5(x+0.5) -> x = 0.5.
-        let times = NormalizedTimes {
-            x_task: 0.1,
-            x_control: 0.0,
-            x_decision: 0.5,
-            x_prtr: 0.1,
-        };
-        let base = ModelParams::new(times, 0.0, 1).unwrap();
-        let roots = crossover_points(&base, 1.5, 1e-3, 10.0, 10_000);
-        assert_eq!(roots.len(), 1);
-        assert!((roots[0] - 0.5).abs() < 1e-6, "root = {}", roots[0]);
     }
 
     #[test]

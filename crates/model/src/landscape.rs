@@ -63,17 +63,6 @@ impl Landscape {
             })
             .collect()
     }
-
-    /// Long-format rows `(h, x_task, value)` for CSV output.
-    pub fn long_rows(&self) -> Vec<(f64, f64, f64)> {
-        let mut out = Vec::with_capacity(self.values.len());
-        for (r, &h) in self.hit_ratio.iter().enumerate() {
-            for (c, &x) in self.x_task.iter().enumerate() {
-                out.push((h, x, self.at(r, c)));
-            }
-        }
-        out
-    }
 }
 
 /// Computes the landscape over `x_axis × h_axis` at the fixed overheads of
@@ -148,7 +137,6 @@ mod tests {
     fn dimensions_and_indexing() {
         let l = grid();
         assert_eq!(l.values.len(), 120 * 11);
-        assert_eq!(l.long_rows().len(), 120 * 11);
         // H = 0 row at the X_task nearest X_PRTR should be near the peak.
         let c = (0..l.x_task.len())
             .min_by(|&a, &b| {

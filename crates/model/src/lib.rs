@@ -16,10 +16,9 @@
 //! * [`preempt`] — equation (5) extended with context-save/restore
 //!   preemption overhead terms (`ν·(X_save + X_restore + X_PRTR +
 //!   X_control)` per call);
-//! * [`speedup`] — finite (eq. 6) and asymptotic (eq. 7) speedup;
+//! * [`mod@speedup`] — finite (eq. 6) and asymptotic (eq. 7) speedup;
 //! * [`bounds`] — the headline bounds (≤ 2× for `X_task ≥ 1`; `1 + 1/X_PRTR`
-//!   peak at `X_task = X_PRTR` for `H = 0`), suprema, crossovers;
-//! * [`regimes`] — operating-regime classification;
+//!   peak at `X_task = X_PRTR` for `H = 0`), suprema;
 //! * [`sweep`] — (parallel) parameter sweeps generating Figure 5 / Figure 9
 //!   curve families;
 //! * [`landscape`] — parallel 2-D `S∞(X_task, H)` surfaces and contours;
@@ -55,7 +54,6 @@ pub mod landscape;
 pub mod params;
 pub mod preempt;
 pub mod prtr;
-pub mod regimes;
 pub mod sensitivity;
 pub mod speedup;
 pub mod sweep;

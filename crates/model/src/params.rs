@@ -2,8 +2,8 @@
 //!
 //! The paper normalizes every time quantity by the full-configuration time
 //! `T_FRTR` (the time to configure the whole FPGA once), writing
-//! `X_y = T_y / T_FRTR`. All closed-form results in [`crate::speedup`] and
-//! [`crate::bounds`] are stated over [`NormalizedParams`].
+//! `X_y = T_y / T_FRTR`. All closed-form results in [`mod@crate::speedup`]
+//! and [`crate::bounds`] are stated over [`NormalizedTimes`].
 
 use serde::{Deserialize, Serialize};
 

@@ -38,38 +38,6 @@ pub fn asymptotic_speedup(p: &ModelParams) -> f64 {
     }
 }
 
-/// How many calls are needed before the finite speedup reaches `fraction`
-/// (e.g. `0.99`) of the asymptotic speedup.
-///
-/// Solves `S(n) >= fraction * S∞` for the smallest integer `n`; the gap is
-/// entirely due to the single un-hidden leading `X_decision`, so if
-/// `X_decision == 0` the answer is `1`. Returns `None` when `fraction` is
-/// outside `(0, 1]` or the target is unreachable.
-pub fn calls_to_reach(p: &ModelParams, fraction: f64) -> Option<u64> {
-    if !(0.0..=1.0).contains(&fraction) || fraction <= 0.0 {
-        return None;
-    }
-    let s_inf = asymptotic_speedup(p);
-    if !s_inf.is_finite() {
-        // S(n) is monotone increasing toward infinity; no finite n reaches a
-        // fraction of an infinite limit unless the denominator term vanishes.
-        return None;
-    }
-    let per_call = prtr::steady_state_per_call_normalized(p);
-    let xd = p.times.x_decision;
-    if xd == 0.0 {
-        return Some(1);
-    }
-    // S(n) = num / (xd/n + per_call) >= fraction * num / per_call
-    //   <=>  per_call >= fraction * (xd/n + per_call)
-    //   <=>  n >= fraction * xd / ((1 - fraction) * per_call)
-    if fraction >= 1.0 {
-        return None; // only reached in the limit
-    }
-    let n = (fraction * xd / ((1.0 - fraction) * per_call)).ceil();
-    Some((n as u64).max(1))
-}
-
 /// A single evaluated operating point, convenient for tables and JSON dumps.
 #[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct OperatingPoint {
@@ -138,6 +106,15 @@ mod tests {
         // Equality at X_task = 1.
         let p = ideal(1.0, 0.5, 0.0, 1000);
         assert!((asymptotic_speedup(&p) - 2.0).abs() < 1e-12);
+        // A decision latency of 2: S∞ = (1 + X_task) / (X_task + 2) < 1,
+        // so PRTR loses outright.
+        let times = NormalizedTimes {
+            x_task: 50.0,
+            x_control: 0.0,
+            x_decision: 2.0,
+            x_prtr: 0.1,
+        };
+        assert!(asymptotic_speedup(&ModelParams::new(times, 0.0, 1).unwrap()) < 1.0);
     }
 
     #[test]
@@ -169,31 +146,10 @@ mod tests {
     }
 
     #[test]
-    fn calls_to_reach_is_one_without_decision_latency() {
-        let p = ideal(0.3, 0.1, 0.0, 10);
-        assert_eq!(calls_to_reach(&p, 0.99), Some(1));
-    }
-
-    #[test]
-    fn calls_to_reach_bounds_convergence() {
-        let times = NormalizedTimes {
-            x_task: 0.3,
-            x_control: 0.0,
-            x_decision: 0.1,
-            x_prtr: 0.1,
-        };
-        let n = calls_to_reach(&ModelParams::new(times, 0.0, 1).unwrap(), 0.99).unwrap();
-        let s_n = speedup(&ModelParams::new(times, 0.0, n).unwrap());
-        let s_inf = asymptotic_speedup(&ModelParams::new(times, 0.0, 1).unwrap());
-        assert!(s_n >= 0.99 * s_inf);
-    }
-
-    #[test]
     fn infinite_speedup_corner_is_flagged() {
         // H = 1 and X_task = 0: PRTR per-call cost is exactly zero.
         let p = ideal(0.0, 0.1, 1.0, 10);
         assert!(asymptotic_speedup(&p).is_infinite());
-        assert_eq!(calls_to_reach(&p, 0.5), None);
     }
 
     #[test]

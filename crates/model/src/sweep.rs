@@ -8,7 +8,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::error::ModelError;
 use crate::params::{ModelParams, NormalizedTimes};
-use crate::speedup::{asymptotic_speedup, speedup};
+use crate::speedup::asymptotic_speedup;
 
 /// Axis specification for a sweep variable.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -137,32 +137,6 @@ pub fn figure5_family(
         .collect())
 }
 
-/// Sweep of the *finite* speedup `S(n_calls)` versus `X_task` for one fixed
-/// parameter set — used for the Figure 9 overlays, where `n_calls` is large
-/// but finite.
-pub fn finite_speedup_curve(
-    base: NormalizedTimes,
-    hit_ratio: f64,
-    n_calls: u64,
-    x_task_axis: Axis,
-    label: impl Into<String>,
-) -> Result<Curve, ModelError> {
-    let xs = x_task_axis.samples()?;
-    let mut times = base;
-    let points = xs
-        .into_iter()
-        .map(|x| {
-            times.x_task = x;
-            let p = ModelParams::new(times, hit_ratio, n_calls)?;
-            Ok((x, speedup(&p)))
-        })
-        .collect::<Result<Vec<_>, ModelError>>()?;
-    Ok(Curve {
-        label: label.into(),
-        points,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -262,42 +236,6 @@ mod tests {
         .unwrap();
         for (a, b) in curves[0].points.iter().zip(&curves[1].points) {
             assert!((a.1 - b.1).abs() < 1e-9);
-        }
-    }
-
-    #[test]
-    fn finite_curve_lies_below_asymptote() {
-        let times = NormalizedTimes {
-            x_task: 0.1,
-            x_control: 0.0,
-            x_decision: 0.05,
-            x_prtr: 0.1,
-        };
-        let finite = finite_speedup_curve(
-            times,
-            0.0,
-            10,
-            Axis::Linear {
-                lo: 0.01,
-                hi: 2.0,
-                points: 50,
-            },
-            "n=10",
-        )
-        .unwrap();
-        let asymptotic = figure5_family(
-            times,
-            &[0.0],
-            &[0.1],
-            Axis::Linear {
-                lo: 0.01,
-                hi: 2.0,
-                points: 50,
-            },
-        )
-        .unwrap();
-        for (f, a) in finite.points.iter().zip(&asymptotic[0].points) {
-            assert!(f.1 <= a.1 + 1e-12);
         }
     }
 }

@@ -2,7 +2,6 @@
 
 use hprc_model::bounds::{self, Supremum};
 use hprc_model::params::{ModelParams, NormalizedTimes, TimingParams};
-use hprc_model::regimes::Regime;
 use hprc_model::speedup::{asymptotic_speedup, speedup};
 use hprc_model::{frtr, prtr};
 use proptest::prelude::*;
@@ -144,16 +143,6 @@ proptest! {
         prop_assert!((a.x_prtr - b.x_prtr).abs() < 1e-9);
         prop_assert!((a.x_control - b.x_control).abs() < 1e-9);
         prop_assert!((a.x_decision - b.x_decision).abs() < 1e-9);
-    }
-
-    /// Regime classification is exhaustive and bound-consistent.
-    #[test]
-    fn regime_bound_consistency(x_task in 1e-4..5.0f64, x_prtr in 1e-3..1.0f64, h in 0.0..0.999f64) {
-        let regime = Regime::classify(x_task, x_prtr);
-        let p = ModelParams::new(NormalizedTimes::ideal(x_task, x_prtr), h, 1).unwrap();
-        let s = asymptotic_speedup(&p);
-        let b = regime.speedup_bound(h, x_prtr);
-        prop_assert!(s <= b * (1.0 + 1e-9), "s={s} bound={b} regime={regime:?}");
     }
 
     /// Degenerate PRTR (X_PRTR = 1, H = 0, X_decision = 0): every call pays

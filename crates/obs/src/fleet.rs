@@ -56,13 +56,6 @@ impl FleetTopology {
     pub fn is_witness(&self, node: usize) -> bool {
         node.is_multiple_of(self.rack_size)
     }
-
-    /// How many nodes rack `r` actually holds (the last rack may be
-    /// ragged).
-    pub fn rack_len(&self, r: usize) -> usize {
-        let start = r * self.rack_size;
-        self.rack_size.min(self.nodes.saturating_sub(start))
-    }
 }
 
 #[cfg(test)]
@@ -79,9 +72,6 @@ mod tests {
         assert_eq!(t.rack_of(3), 0);
         assert_eq!(t.rack_of(4), 1);
         assert_eq!(t.rack_of(9), 2);
-        assert_eq!(t.rack_len(0), 4);
-        assert_eq!(t.rack_len(1), 4);
-        assert_eq!(t.rack_len(2), 2);
         // One witness per rack, at the rack's first node.
         let witnesses: Vec<usize> = (0..t.nodes()).filter(|&n| t.is_witness(n)).collect();
         assert_eq!(witnesses, vec![0, 4, 8]);
@@ -92,7 +82,6 @@ mod tests {
     fn empty_fleet_has_no_racks() {
         let t = FleetTopology::new(0, 8);
         assert_eq!(t.racks(), 0);
-        assert_eq!(t.rack_len(0), 0);
     }
 
     #[test]

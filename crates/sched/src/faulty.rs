@@ -21,10 +21,9 @@
 //!    (the next call for it becomes a miss), modelling the silent
 //!    corruption + readback-detection cycle.
 //!
-//! The scheduler and the simulator each run their own
-//! [`FaultState`](hprc_fault::FaultState) over the identical
-//! `(call, slot, miss)` stream, so fates never need to be passed
-//! between the two layers — they re-derive identically.
+//! The scheduler and the simulator each run their own [`FaultState`]
+//! over the identical `(call, slot, miss)` stream, so fates never need
+//! to be passed between the two layers — they re-derive identically.
 
 use std::collections::HashSet;
 

@@ -2,14 +2,14 @@
 //!
 //! Configuration caching and pre-fetching substrate: the algorithms the
 //! paper's analytical model abstracts into the hit ratio `H` and decision
-//! latency `T_decision` (section 3.1, building on its references [24]-[27]).
+//! latency `T_decision` (section 3.1, building on its references \[24\]-\[27\]).
 //!
 //! * [`cache`] — the PRR-slot configuration cache and hit/miss statistics;
 //! * [`policy`] — the replacement/prefetch policy trait;
 //! * [`policies`] — always-miss (the paper's measured setup), FIFO, LRU,
 //!   LFU, random, Belady's clairvoyant optimum, and a first-order Markov
 //!   prefetcher;
-//! * [`simulate`] — trace-driven simulation measuring the achieved `H`;
+//! * [`mod@simulate`] — trace-driven simulation measuring the achieved `H`;
 //! * [`faulty`] — the same simulation with `hprc-fault` recovery state:
 //!   escalations wipe the cache, repeated escalations blacklist PRRs,
 //!   and seeded SEUs evict residents, so `H` degrades honestly;

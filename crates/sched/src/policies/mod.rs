@@ -6,7 +6,7 @@
 //! * [`Markov`] — first-order next-task predictor with prefetching;
 //! * [`AssociationRule`] — windowed co-occurrence mining with confidence
 //!   thresholds, after the ARM-based configuration caching of the paper's
-//!   reference [26].
+//!   reference \[26\].
 
 mod always_miss;
 mod assoc;

@@ -1,7 +1,7 @@
 //! The replacement/prefetch policy abstraction.
 //!
 //! A policy answers two questions the configuration-caching literature the
-//! paper builds on ([24]–[27]) cares about: *which* resident configuration
+//! paper builds on (\[24\]–\[27\]) cares about: *which* resident configuration
 //! to evict on a miss, and *what* to prefetch while the current task runs.
 //! Each policy also carries its decision latency — the paper's `T_decision`
 //! (`T_setup`), "the time taken by the configuration caching algorithm to
@@ -99,9 +99,9 @@ pub trait Policy {
     /// order or process — because it lands in skeleton cache keys; and
     /// (b) [`delta_restore`](Policy::delta_restore) of the bytes
     /// reproduces a policy whose every future decision matches the
-    /// encoded one. State rebuilt by [`observe_trace`]
-    /// (Policy::observe_trace) (oracle futures) is excluded: the
-    /// restore path always replays `observe_trace` first.
+    /// encoded one. State rebuilt by
+    /// [`observe_trace`](Policy::observe_trace) (oracle futures) is
+    /// excluded: the restore path always replays `observe_trace` first.
     fn delta_state(&self) -> Option<Vec<u8>> {
         None
     }

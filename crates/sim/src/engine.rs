@@ -115,11 +115,6 @@ impl<E: Eq> EventQueue<E> {
         Some((e.time, e.payload))
     }
 
-    /// Time of the next event without popping.
-    pub fn peek_time(&self) -> Option<SimTime> {
-        self.heap.peek().map(|Reverse(e)| e.time)
-    }
-
     /// Pending event count.
     pub fn len(&self) -> usize {
         self.heap.len()
@@ -165,7 +160,6 @@ mod tests {
         let mut q = EventQueue::new();
         q.schedule(t(5.0), ());
         assert_eq!(q.now(), SimTime::ZERO);
-        assert_eq!(q.peek_time(), Some(t(5.0)));
         q.pop().unwrap();
         assert_eq!(q.now(), t(5.0));
         assert!(q.is_empty());

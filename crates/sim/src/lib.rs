@@ -10,7 +10,7 @@
 //! can be validated against the analytical model of `hprc-model`.
 //!
 //! Every executor entry point takes an [`hprc_ctx::ExecCtx`] carrying the
-//! observability registry, seed, calibration, and parallelism budget;
+//! observability registry and journal, seed, parallelism and run budget;
 //! `ExecCtx::default()` is the plain, uninstrumented run.
 //!
 //! ```
@@ -45,7 +45,6 @@ pub mod executor;
 pub mod icap;
 pub mod node;
 pub mod preempt;
-pub mod rtcore;
 pub mod task;
 pub mod time;
 pub mod trace;
@@ -59,7 +58,6 @@ pub use executor::{
 pub use icap::IcapPath;
 pub use node::NodeConfig;
 pub use preempt::{run_preemptive, run_preemptive_reference, PreemptSegment};
-pub use rtcore::{Fifo, MemoryBank, RtCore};
 pub use task::{PrtrCall, TaskCall};
 pub use time::{SimDuration, SimTime};
 pub use trace::{EventKind, Lane, Timeline};

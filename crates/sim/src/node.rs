@@ -70,19 +70,6 @@ impl NodeConfig {
         }
     }
 
-    /// The node for a context's [`Calibration`](hprc_ctx::Calibration)
-    /// selection: `Measured` → [`NodeConfig::xd1_measured`],
-    /// `Estimated` → [`NodeConfig::xd1_estimated`].
-    pub fn for_calibration(
-        floorplan: &Floorplan,
-        calibration: hprc_ctx::Calibration,
-    ) -> NodeConfig {
-        match calibration {
-            hprc_ctx::Calibration::Measured => NodeConfig::xd1_measured(floorplan),
-            hprc_ctx::Calibration::Estimated => NodeConfig::xd1_estimated(floorplan),
-        }
-    }
-
     /// Full configuration time `T_FRTR` in seconds.
     pub fn t_frtr_s(&self) -> f64 {
         self.full_config.full_configuration_time_s()
@@ -168,19 +155,6 @@ mod tests {
             node.x_prtr()
         );
         assert_eq!(node.n_prrs, 1);
-    }
-
-    #[test]
-    fn for_calibration_selects_the_table2_column() {
-        let fp = Floorplan::xd1_dual_prr();
-        assert_eq!(
-            NodeConfig::for_calibration(&fp, hprc_ctx::Calibration::Measured),
-            NodeConfig::xd1_measured(&fp)
-        );
-        assert_eq!(
-            NodeConfig::for_calibration(&fp, hprc_ctx::Calibration::Estimated),
-            NodeConfig::xd1_estimated(&fp)
-        );
     }
 
     #[test]

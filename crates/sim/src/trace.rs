@@ -370,15 +370,6 @@ impl Timeline {
         merged
     }
 
-    /// Total busy seconds of one activity class, counted on the merged
-    /// union (concurrent same-class events are not double-counted).
-    pub fn class_busy_s(&self, class: ActivityClass) -> f64 {
-        self.class_intervals(class)
-            .iter()
-            .map(|(s, e)| (*e - *s).as_secs_f64())
-            .sum()
-    }
-
     /// Converts the timeline to Chrome trace-event format, one `tid`
     /// row per lane (see [`Lane::chrome_tid`]), all under `pid`.
     ///
@@ -724,9 +715,8 @@ mod tests {
         tl.push(Lane::Prr(0), EventKind::Exec, "c", t(3.0), t(4.0));
         tl.push(Lane::Prr(1), EventKind::Exec, "d", t(6.0), t(7.0));
         let exec = tl.class_intervals(ActivityClass::Exec);
+        // The union, not the four raw windows: 5 s busy, not 2+2+1+1 = 6 s.
         assert_eq!(exec, vec![(t(0.0), t(4.0)), (t(6.0), t(7.0))]);
-        // Union length, not the 2+2+1+1 = 6 s sum of durations.
-        assert!((tl.class_busy_s(ActivityClass::Exec) - 5.0).abs() < 1e-12);
     }
 
     #[test]
@@ -742,8 +732,7 @@ mod tests {
         );
         tl.push(Lane::Host, EventKind::Decision, "d", t(0.0), t(0.5));
         let cfg = tl.class_intervals(ActivityClass::Config);
-        assert_eq!(cfg.len(), 2);
-        assert!((tl.class_busy_s(ActivityClass::Config) - 2.0).abs() < 1e-12);
+        assert_eq!(cfg, vec![(t(0.0), t(1.0)), (t(2.0), t(3.0))]);
         assert!(tl.class_intervals(ActivityClass::Data).is_empty());
         assert_eq!(
             EventKind::FullConfig.class(),
@@ -962,7 +951,10 @@ mod tests {
             SimTime(0),
             SimTime(1_000),
         );
-        assert!((tl.class_busy_s(ActivityClass::Config) - 1e-6).abs() < 1e-15);
+        assert_eq!(
+            tl.class_intervals(ActivityClass::Config),
+            vec![(SimTime(0), SimTime(1_000))]
+        );
     }
 
     #[test]
@@ -989,7 +981,10 @@ mod tests {
             SimTime(1_000),
             SimTime(2_500),
         );
-        assert!((tl.class_busy_s(ActivityClass::Config) - 2.5e-6).abs() < 1e-15);
+        assert_eq!(
+            tl.class_intervals(ActivityClass::Config),
+            vec![(SimTime(0), SimTime(2_500))]
+        );
     }
 
     #[test]

@@ -1,48 +1,29 @@
 //! Design-space exploration: use the FPGA substrate end to end — check
-//! that a new core fits a PRR (synthesis estimation + placement), compare
-//! bitstream flows, and pick a PRR granularity for a target workload —
-//! the workflow a Cray XD1 user would follow before committing to a
-//! partial-reconfiguration design.
+//! that a core fits a PRR (placement), compare bitstream flows, and pick
+//! a PRR granularity for a target workload — the workflow a Cray XD1
+//! user would follow before committing to a partial-reconfiguration
+//! design.
 //!
 //! Run with: `cargo run --release --example design_space`
 
 use prtr_bounds::fpga::bitstream::{difference_based_inventory, module_based_inventory};
-use prtr_bounds::fpga::estimate::{FilterOp, KernelSpec};
-use prtr_bounds::fpga::module::{HwModule, ModuleClass};
 use prtr_bounds::fpga::placement::place_in_prr;
 use prtr_bounds::prelude::*;
 
 fn main() {
-    // --- 1. Estimate a new 5x5 median core and try to place it. ---------
-    let spec = KernelSpec {
-        window_rows: 5,
-        window_cols: 5,
-        bits_per_pixel: 8,
-        max_line_width: 1024,
-        op: FilterOp::SortingNetwork {
-            compare_exchanges: 99,
-        },
-        pipeline_stages: 11,
-    };
-    let estimated = spec.estimate();
+    // --- 1. Place Table 1's median core in each layout's first PRR. -----
+    let library = ModuleLibrary::paper_table1();
+    let candidate = library.get("Median Filter").expect("Table 1 row");
     println!(
-        "Estimated 5x5 median core: {} LUTs, {} FFs, {} BRAM",
-        estimated.luts, estimated.ffs, estimated.brams
+        "Table 1 median core: {} LUTs, {} FFs, {} BRAM",
+        candidate.resources.luts, candidate.resources.ffs, candidate.resources.brams
     );
-    let candidate = HwModule {
-        name: "Median 5x5".into(),
-        class: ModuleClass::Application,
-        resources: estimated,
-        freq_mhz: 200.0,
-        throughput_per_clock: 1.0,
-        pipeline_latency_clocks: 2 * 1024,
-    };
     for (layout_name, fp) in [
         ("single-PRR", Floorplan::xd1_single_prr()),
         ("dual-PRR", Floorplan::xd1_dual_prr()),
         ("quad-PRR", Floorplan::xd1_quad_prr()),
     ] {
-        match place_in_prr(&fp, 0, &candidate, 200.0) {
+        match place_in_prr(&fp, 0, candidate, 200.0) {
             Ok(p) => println!(
                 "  {layout_name:<10} -> fits PRR0 at {:.0}% LUT utilization",
                 p.utilization.luts * 100.0

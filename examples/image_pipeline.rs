@@ -1,7 +1,7 @@
-//! Image pipeline: run the paper's actual workload — median → smoothing →
-//! Sobel over real image data — functionally (verifying the results), then
-//! replay the same call sequence on the simulated HPRC node to see what
-//! run-time reconfiguration costs under FRTR vs PRTR.
+//! Image pipeline: the paper's actual workload — median → smoothing →
+//! Sobel over a stream of frames — as a hardware call sequence, replayed
+//! on the simulated HPRC node to see what run-time reconfiguration costs
+//! under FRTR vs PRTR.
 //!
 //! Run with: `cargo run --release --example image_pipeline`
 
@@ -10,28 +10,13 @@ use prtr_bounds::sched::cache::TaskId;
 use prtr_bounds::sched::simulate::CallOutcome;
 
 fn main() {
-    // --- 1. The functional workload: denoise + edge-detect frames. ------
+    // --- 1. The workload as a hardware task-call trace. -----------------
+    // 12 frames of 512x512 pixels; each stage is one hardware function
+    // call. 3 cores rotate through the 2 PRRs of the dual layout, so plain
+    // demand caching always misses — the pathological case the paper's
+    // experiment measures.
     let frames = 12usize;
     let (w, h) = (512usize, 512usize);
-    let pipeline = Pipeline::denoise_edges();
-    println!(
-        "Processing {frames} frames of {w}x{h} through {:?} stages...",
-        pipeline.call_trace()
-    );
-    let mut edge_pixels = 0u64;
-    for f in 0..frames {
-        let frame = Image::random(w, h, f as u64);
-        let out = pipeline.run_parallel(&frame, 4);
-        edge_pixels += out.pixels().iter().filter(|&&p| p > 128).count() as u64;
-        // The parallel path is bit-identical to the sequential one.
-        debug_assert_eq!(out, pipeline.run(&frame));
-    }
-    println!("Strong edge pixels across all frames: {edge_pixels}\n");
-
-    // --- 2. The same workload as a hardware task-call trace. ------------
-    // Each stage is one hardware function call; 3 cores rotate through the
-    // 2 PRRs of the dual layout, so plain demand caching always misses —
-    // the pathological case the paper's experiment measures.
     let floorplan = Floorplan::xd1_dual_prr();
     let node = NodeConfig::xd1_measured(&floorplan);
     let trace: Vec<TaskId> = (0..frames * 3).map(|i| TaskId(i % 3)).collect();
@@ -50,7 +35,7 @@ fn main() {
         prefetched.hit_ratio()
     );
 
-    // --- 3. Execute both schedules on the node simulator. ---------------
+    // --- 2. Execute both schedules on the node simulator. ---------------
     let bytes = (w * h) as u64; // one byte per pixel, in and out
     let to_calls = |outc: &prtr_bounds::sched::simulate::SimulationOutcome| -> Vec<PrtrCall> {
         trace

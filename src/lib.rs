@@ -14,8 +14,6 @@
 //!   (vendor API, ICAP path, FRTR/PRTR executors, timelines);
 //! * [`sched`] (`hprc-sched`) — configuration caching/prefetching policies
 //!   and workload traces (the paper's `H` made measurable);
-//! * [`kernels`] (`hprc-kernels`) — the image-processing hardware
-//!   functions as real, testable Rust code plus the task-time model;
 //! * [`virt`] (`hprc-virt`) — the hardware-virtualization/multi-tasking
 //!   runtime (the paper's future-work direction);
 //! * [`attr`] (`hprc-attr`) — wall-clock attribution over timelines:
@@ -25,8 +23,8 @@
 //!   histograms), hierarchical timed spans, and Chrome trace-event
 //!   export, wired through the simulator, scheduler, and runner;
 //! * [`ctx`] (`hprc-ctx`) — the execution-context layer: one [`ExecCtx`]
-//!   (registry, seed, calibration, parallelism budget) threaded through
-//!   every substrate entry point;
+//!   (registry, journal, seed, parallelism, run budget, delta cache)
+//!   threaded through every substrate entry point;
 //! * [`exp`] (`hprc-exp`) — the harness regenerating every table and
 //!   figure, with a deterministic parallel sweep runner (`--jobs`).
 //!
@@ -54,7 +52,6 @@ pub use hprc_attr as attr;
 pub use hprc_ctx as ctx;
 pub use hprc_exp as exp;
 pub use hprc_fpga as fpga;
-pub use hprc_kernels as kernels;
 pub use hprc_model as model;
 pub use hprc_obs as obs;
 pub use hprc_sched as sched;
@@ -64,12 +61,11 @@ pub use hprc_virt as virt;
 /// The most commonly used items across the workspace.
 pub mod prelude {
     pub use hprc_attr::{AttributionReport, Buckets, RunAttribution};
-    pub use hprc_ctx::{Calibration, ExecCtx};
+    pub use hprc_ctx::ExecCtx;
     pub use hprc_fpga::bitstream::Bitstream;
     pub use hprc_fpga::device::Device;
     pub use hprc_fpga::floorplan::Floorplan;
     pub use hprc_fpga::module::ModuleLibrary;
-    pub use hprc_kernels::{FilterKind, Image, Pipeline, TaskTimeModel};
     pub use hprc_model::params::{ModelParams, NormalizedTimes, TimingParams};
     pub use hprc_model::speedup::{asymptotic_speedup, speedup};
     pub use hprc_obs::Registry;

@@ -58,14 +58,6 @@ fn seeded_randomness_is_replayable_everywhere() {
         &ExecCtx::default(),
     );
     assert_eq!(a, b);
-    // Images.
-    assert_eq!(Image::random(64, 64, 3), Image::random(64, 64, 3));
-    // Filters (parallel included).
-    let img = Image::random(48, 31, 8);
-    assert_eq!(
-        FilterKind::Median.apply_parallel(&img, 4),
-        FilterKind::Median.apply_parallel(&img, 7)
-    );
 }
 
 #[test]

@@ -143,8 +143,8 @@ fn claim_figure9_peaks() {
 /// memory-bank-sized streaming task exceeds the 36 ms full configuration.
 #[test]
 fn claim_data_intensive_vs_estimated_full_config() {
-    let m = TaskTimeModel::xd1_filter();
-    assert!(m.task_time_s(16 << 20, 16 << 20) > 0.036);
+    let node = NodeConfig::xd1_estimated(&Floorplan::xd1_dual_prr());
+    assert!(node.task_time_s(16 << 20, 16 << 20) > node.t_frtr_s());
 }
 
 /// §4.3: experimental parameters — T_control ≈ 10 µs is negligible
