@@ -533,13 +533,13 @@ mod tests {
         let recs = ctx.journal.records();
         let dispatches = recs
             .iter()
-            .filter(|r| matches!(r, hprc_obs::JournalRecord::Event { name, .. } if name == "fleet.dispatch"))
+            .filter(|r| matches!(r, hprc_obs::JournalRecord::Event { name, .. } if *name == "fleet.dispatch"))
             .count();
         assert_eq!(dispatches, 24, "every node dispatched");
         let flows = recs
             .iter()
             .filter(
-                |r| matches!(r, hprc_obs::JournalRecord::Flow { kind, .. } if kind == "dispatch"),
+                |r| matches!(r, hprc_obs::JournalRecord::Flow { kind, .. } if *kind == "dispatch"),
             )
             .count();
         assert_eq!(flows, topo.racks(), "one dispatch arrow per witness");

@@ -34,6 +34,7 @@ use std::fs;
 use std::io::{self, Write};
 use std::path::Path;
 
+use crate::artifact::sync_parent;
 use crate::journal::esc;
 
 /// Schema tag carried by (and required on) every manifest's intent line.
@@ -79,10 +80,14 @@ pub struct Manifest {
 }
 
 impl Manifest {
-    /// Creates (truncating) a fresh manifest starting at seq 0.
+    /// Creates (truncating) a fresh manifest starting at seq 0. The
+    /// parent directory is synced so the new file's entry survives a
+    /// power loss: each append syncs only the file's data.
     pub fn create(path: &Path, crash_at: Option<u64>) -> io::Result<Manifest> {
+        let file = fs::File::create(path)?;
+        sync_parent(path);
         Ok(Manifest {
-            file: fs::File::create(path)?,
+            file,
             seq: 0,
             crash_at,
         })

@@ -225,15 +225,19 @@ fn run_preemptive_impl(
     // One stable anchor span per task: the host-side context buffer the
     // checkpoint flows dock at. Opened before any segment (outside any
     // jump window), so their ids survive cycle replay untouched.
+    // The `ctx:<task>` label is interned (journal names are `'static`),
+    // and only when the journal is live: a no-op run builds no label.
     let mut anchors: HashMap<Symbol, Option<hprc_obs::SpanId>> = HashMap::new();
     let mut anchor_order: Vec<Symbol> = Vec::new();
-    let mut label_buf = String::new();
     for seg in segments {
         if let std::collections::hash_map::Entry::Vacant(slot) = anchors.entry(seg.name) {
-            label_buf.clear();
-            label_buf.push_str("ctx:");
-            label_buf.push_str(seg.name.as_str());
-            slot.insert(j.open(&label_buf, jrun, 0, tid_host));
+            let anchor = if j.is_enabled() {
+                let label = Symbol::intern(&format!("ctx:{}", seg.name.as_str()));
+                j.open(label.as_str(), jrun, 0, tid_host)
+            } else {
+                None
+            };
+            slot.insert(anchor);
             anchor_order.push(seg.name);
         }
     }

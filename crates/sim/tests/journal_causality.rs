@@ -48,9 +48,9 @@ fn prtr_calls(n: usize) -> Vec<PrtrCall> {
 
 /// Indexed view of one journal: spans, events, flows.
 struct View {
-    opens: HashMap<SpanId, (Option<SpanId>, String, u64)>,
+    opens: HashMap<SpanId, (Option<SpanId>, &'static str, u64)>,
     closes: HashMap<SpanId, u64>,
-    flows: Vec<(SpanId, SpanId, String)>,
+    flows: Vec<(SpanId, SpanId, &'static str)>,
 }
 
 impl View {
@@ -95,7 +95,7 @@ impl View {
     fn recoveries(&self) -> Vec<SpanId> {
         self.opens
             .iter()
-            .filter(|(_, (_, name, _))| name == "recovery")
+            .filter(|(_, (_, name, _))| *name == "recovery")
             .map(|(id, _)| *id)
             .collect()
     }
@@ -138,7 +138,7 @@ fn assert_chains_connected(v: &View) -> usize {
     let mut per_call: HashMap<SpanId, Vec<SpanId>> = HashMap::new();
     for (id, (parent, name, _)) in &v.opens {
         if let Some(p) = parent {
-            if chain_names.contains(&name.as_str()) && v.opens.contains_key(p) {
+            if chain_names.contains(name) && v.opens.contains_key(p) {
                 per_call.entry(*p).or_default().push(*id);
             }
         }
@@ -194,7 +194,7 @@ fn prtr_faulty_recoveries_nest_and_chains_connect() {
     // A faulted miss still links decision → chain via a `hide` edge and
     // reaches execution (or stops at a drop); fault and retry edges
     // exist by construction.
-    let kinds: HashSet<&str> = v.flows.iter().map(|(_, _, k)| k.as_str()).collect();
+    let kinds: HashSet<&str> = v.flows.iter().map(|(_, _, k)| *k).collect();
     assert!(kinds.contains("fault"), "kinds: {kinds:?}");
     assert!(kinds.contains("retry"), "kinds: {kinds:?}");
     assert!(kinds.contains("escalate"), "kinds: {kinds:?}");
@@ -211,7 +211,7 @@ fn frtr_faulty_recoveries_nest_and_chains_connect() {
     let n_recoveries = assert_recoveries_nest(&v);
     assert!(n_recoveries > 0);
     assert_chains_connected(&v);
-    let kinds: HashSet<&str> = v.flows.iter().map(|(_, _, k)| k.as_str()).collect();
+    let kinds: HashSet<&str> = v.flows.iter().map(|(_, _, k)| *k).collect();
     assert!(kinds.contains("fault") && kinds.contains("retry"));
 }
 
@@ -222,13 +222,13 @@ fn clean_prtr_links_decisions_to_hidden_configs_and_hits() {
     let ctx = ExecCtx::default().with_journal(Journal::new(23));
     run_prtr(&node, &calls, &ctx).unwrap();
     let v = View::of(&ctx.journal);
-    let kinds: HashSet<&str> = v.flows.iter().map(|(_, _, k)| k.as_str()).collect();
+    let kinds: HashSet<&str> = v.flows.iter().map(|(_, _, k)| *k).collect();
     assert!(kinds.contains("hide"), "decision→configure edges exist");
     assert!(kinds.contains("activate"), "configure→execute edges exist");
     assert!(kinds.contains("hit"), "decision→execute edges on hits");
     // Every `hide` edge runs decision → configure within one call span.
     for (from, to, kind) in &v.flows {
-        if kind == "hide" {
+        if *kind == "hide" {
             assert_eq!(v.opens[from].1, "decide");
             assert_eq!(v.opens[to].1, "configure");
             assert_eq!(v.opens[from].0, v.opens[to].0, "same call span");
