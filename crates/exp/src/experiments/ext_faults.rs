@@ -20,7 +20,7 @@ use hprc_sched::traces::TraceSpec;
 use hprc_sim::node::NodeConfig;
 use serde::Serialize;
 
-use crate::report::Report;
+use crate::report::{Report, Series};
 use crate::runner::par_indexed;
 use crate::scenario::{run_point_faulty, FaultyPointRun};
 use crate::table::{Align, TextTable};
@@ -105,12 +105,13 @@ fn seeds(ctx: &ExecCtx) -> (u64, u64) {
     (ctx.seed_for(0x5EED_FA01), ctx.seed_for(0xFA17))
 }
 
-/// Runs the fault-rate sweep. Substrate fault counters
+/// Runs the fault-rate sweep, with effective speedup, availability and
+/// degraded `H` vs fault rate as its curves. Substrate fault counters
 /// (`sim.{frtr,prtr}.fault.*`, `sched.fault.*`) land in `ctx.registry`
 /// via the sharded merge, plus summary gauges
 /// `exp.ext_faults.min_availability` and
 /// `exp.ext_faults.max_blacklisted`.
-pub fn run(ctx: &ExecCtx) -> Report {
+pub fn run_with_series(ctx: &ExecCtx) -> (Report, Series) {
     let _span = ctx.registry.span("exp.ext_faults");
     let len = 1200;
     let (trace_seed, plan_seed) = seeds(ctx);
@@ -200,25 +201,38 @@ pub fn run(ctx: &ExecCtx) -> Report {
         t.render()
     );
 
-    Report::new(
+    let curve = |y: fn(&Row) -> f64| rows.iter().map(|r| (r.rate, y(r))).collect();
+    let series = vec![
+        ("effective_speedup".into(), curve(|r| r.effective_speedup)),
+        ("availability".into(), curve(|r| r.availability)),
+        ("hit_ratio".into(), curve(|r| r.hit_ratio)),
+    ];
+    let report = Report::new(
         "ext-faults",
         "E-faults — Fault injection and recovery across the reconfiguration path",
         body,
         &rows,
-    )
+    );
+    (report, series)
+}
+
+/// The report alone, as the tests below read it.
+#[cfg(test)]
+fn run(ctx: &ExecCtx) -> Report {
+    run_with_series(ctx).0
 }
 
 /// The Chrome trace artifact: the mid-sweep rate's faulty PRTR timeline
-/// (recovery stretches visible on the ConfigPort lane). The run itself
-/// is silenced; `registry` receives only the export's truncation
+/// (recovery stretches visible on the ConfigPort lane), with the
+/// journal's fault→retry links as flow arrows. The run itself is
+/// registry-silenced; `registry` receives only the export's truncation
 /// accounting.
-pub fn chrome_trace(
-    run_ctx: &ExecCtx,
-    registry: &hprc_obs::Registry,
-) -> Vec<hprc_obs::ChromeEvent> {
+pub fn trace(run_ctx: &ExecCtx, registry: &hprc_obs::Registry) -> Vec<hprc_obs::ChromeEvent> {
     let (trace_seed, plan_seed) = seeds(run_ctx);
     let r = run_rate(TRACE_RATE, trace_seed, plan_seed, 300, run_ctx);
-    r.prtr.timeline.chrome_events_recorded(1, registry)
+    let events = r.prtr.timeline.chrome_events_recorded(1, registry);
+    let flows = run_ctx.journal.chrome_flow_events(1, Some("sim.run_prtr"));
+    crate::assemble_trace(events, &[(1, "faulty PRTR")], flows)
 }
 
 /// The attribution artifact: exclusive time buckets for the mid-sweep
@@ -229,44 +243,6 @@ pub fn attribution(ctx: &ExecCtx) -> hprc_attr::AttributionReport {
     let (trace_seed, plan_seed) = seeds(ctx);
     let r = run_rate(TRACE_RATE, trace_seed, plan_seed, 300, ctx);
     hprc_attr::AttributionReport::new("ext-faults", &r.params, &r.frtr, &r.prtr)
-}
-
-/// CSV series: effective speedup, availability, and degraded `H` vs
-/// fault rate.
-pub fn series(ctx: &ExecCtx) -> Vec<(String, Vec<(f64, f64)>)> {
-    let len = 1200;
-    let (trace_seed, plan_seed) = seeds(ctx);
-    let runs: Vec<FaultyPointRun> = RATES
-        .iter()
-        .map(|&rate| run_rate(rate, trace_seed, plan_seed, len, ctx))
-        .collect();
-    let baseline_frtr_s = runs[0].frtr.total_s();
-    vec![
-        (
-            "effective_speedup".into(),
-            RATES
-                .iter()
-                .zip(&runs)
-                .map(|(&rate, r)| (rate, baseline_frtr_s / r.prtr.total_s()))
-                .collect(),
-        ),
-        (
-            "availability".into(),
-            RATES
-                .iter()
-                .zip(&runs)
-                .map(|(&rate, r)| (rate, r.availability()))
-                .collect(),
-        ),
-        (
-            "hit_ratio".into(),
-            RATES
-                .iter()
-                .zip(&runs)
-                .map(|(&rate, r)| (rate, r.point.hit_ratio))
-                .collect(),
-        ),
-    ]
 }
 
 #[cfg(test)]

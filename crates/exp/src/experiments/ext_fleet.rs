@@ -20,7 +20,7 @@ use hprc_obs::FleetTopology;
 use serde::Serialize;
 
 use crate::fleet::{run_fleet, FleetError, FleetRun, FleetSpec};
-use crate::report::Report;
+use crate::report::{Report, Series};
 use crate::table::{Align, TextTable};
 
 /// Fleet shape: 32 racks of 32 nodes.
@@ -74,12 +74,14 @@ fn throughput(run: &FleetRun) -> f64 {
     }
 }
 
-/// Runs the chaos sweep plus the budget-capped fleet. Fleet counters
+/// Runs the chaos sweep plus the budget-capped fleet, with availability,
+/// throughput ratio and minimum per-rack `H` vs chaos rate as its
+/// curves. Fleet counters
 /// (`fleet.*`) land in `ctx.registry` through the two-level merge;
 /// summary gauges `exp.ext_fleet.min_availability` and
 /// `exp.ext_fleet.min_rack_h` ride along, and the budget fleet attaches
 /// its folded [`hprc_obs::BudgetAccount`] to the journal footer.
-pub fn run(ctx: &ExecCtx) -> Result<Report, FleetError> {
+pub fn run_with_series(ctx: &ExecCtx) -> Result<(Report, Series), FleetError> {
     let _span = ctx.registry.span("exp.ext_fleet");
     let topo = FleetTopology::new(NODES, RACK_SIZE);
     // Nodes are the parallel axis inside each fleet, so the sweep
@@ -187,15 +189,44 @@ pub fn run(ctx: &ExecCtx) -> Result<Report, FleetError> {
         runs_cut = account.runs_cut,
     );
 
-    Ok(Report::new(
+    let curve = |y: fn(&Row) -> f64| rows.iter().map(|r| (r.rate, y(r))).collect();
+    let series = vec![
+        ("availability".into(), curve(|r| r.availability)),
+        ("throughput_ratio".into(), curve(|r| r.throughput_ratio)),
+        ("min_rack_h".into(), curve(|r| r.min_rack_h)),
+    ];
+    let report = Report::new(
         "ext-fleet",
         "E-fleet — Fleet-scale orchestration: kills, rack aggregation, run budgets",
         body,
         &rows,
+    );
+    Ok((report, series))
+}
+
+/// The report alone, as the tests below read it.
+#[cfg(test)]
+fn run(ctx: &ExecCtx) -> Result<Report, FleetError> {
+    run_with_series(ctx).map(|(report, _)| report)
+}
+
+/// The `<id>.trace.json` artifact: [`chrome_trace`] with the
+/// orchestrator's dispatch flow arrows linking the cluster lanes.
+pub fn trace(
+    run_ctx: &ExecCtx,
+    registry: &hprc_obs::Registry,
+) -> Result<Vec<hprc_obs::ChromeEvent>, FleetError> {
+    let events = chrome_trace(run_ctx, registry)?;
+    let flows = run_ctx.journal.chrome_flow_events(1, None);
+    Ok(crate::assemble_trace(
+        events,
+        &[(1, "fleet cluster")],
+        flows,
     ))
 }
 
-/// The Chrome trace artifact: the mid-sweep fleet's cluster journal
+/// The cluster trace's events: the mid-sweep fleet's cluster journal
+/// (orchestrator dispatches and spans plus witness node journals)
 /// rendered as spans (one lane per rack, dispatch events on the host
 /// lane), capped at [`MAX_FLEET_TRACE_EVENTS`] with the same
 /// `[truncated N events]` marker + `obs.trace.truncated_events`
@@ -226,55 +257,6 @@ pub fn chrome_trace(
             .add(truncated);
     }
     Ok(out)
-}
-
-/// Labelled `(x, y)` series, as rendered into the CSV artifact.
-pub type Series = Vec<(String, Vec<(f64, f64)>)>;
-
-/// CSV series: availability, throughput ratio, and minimum per-rack H
-/// vs chaos rate.
-pub fn series(ctx: &ExecCtx) -> Result<Series, FleetError> {
-    let topo = FleetTopology::new(NODES, RACK_SIZE);
-    let runs: Vec<FleetRun> = RATES
-        .iter()
-        .enumerate()
-        .map(|(i, &rate)| run_fleet(&spec(rate), i as u64, None, ctx))
-        .collect::<Result<_, _>>()?;
-    let base_throughput = throughput(&runs[0]);
-    Ok(vec![
-        (
-            "availability".into(),
-            RATES
-                .iter()
-                .zip(&runs)
-                .map(|(&rate, run)| (rate, run.availability()))
-                .collect(),
-        ),
-        (
-            "throughput_ratio".into(),
-            RATES
-                .iter()
-                .zip(&runs)
-                .map(|(&rate, run)| (rate, throughput(run) / base_throughput))
-                .collect(),
-        ),
-        (
-            "min_rack_h".into(),
-            RATES
-                .iter()
-                .zip(&runs)
-                .map(|(&rate, run)| {
-                    (
-                        rate,
-                        run.rack_hit_ratios(&topo)
-                            .iter()
-                            .copied()
-                            .fold(1.0, f64::min),
-                    )
-                })
-                .collect(),
-        ),
-    ])
 }
 
 #[cfg(test)]

@@ -7,7 +7,7 @@ use hprc_model::params::NormalizedTimes;
 use hprc_model::sweep::Axis;
 use serde::Serialize;
 
-use crate::report::Report;
+use crate::report::{Report, Series};
 use crate::table::{Align, TextTable};
 
 /// One contour: target speedup and per-H largest admissible `X_task`.
@@ -45,8 +45,9 @@ fn ascii_heatmap(l: &Landscape) -> String {
     out
 }
 
-/// Computes the landscape and its 10x/30x/60x contours.
-pub fn run(ctx: &ExecCtx) -> Report {
+/// Computes the landscape and its 10x/30x/60x contours, plus one
+/// `S(X_task)` curve per sampled `H`.
+pub fn run_with_series(ctx: &ExecCtx) -> (Report, Series) {
     let _span = ctx.registry.span("exp.ext_landscape");
     let x_prtr = 19.77 / 1678.04;
     let l = compute(
@@ -96,7 +97,7 @@ pub fn run(ctx: &ExecCtx) -> Report {
         t.render(),
     );
 
-    Report::new(
+    let report = Report::new(
         "ext-landscape",
         "E10 — The (X_task, H) speedup landscape",
         body,
@@ -107,27 +108,9 @@ pub fn run(ctx: &ExecCtx) -> Report {
             max_speedup: max_s,
             contours,
         },
-    )
-}
-
-/// Long-format series for CSV.
-pub fn series() -> Vec<(String, Vec<(f64, f64)>)> {
-    let x_prtr = 19.77 / 1678.04;
-    let l = compute(
-        NormalizedTimes::ideal(1.0, x_prtr),
-        Axis::Log {
-            lo: 1e-4,
-            hi: 10.0,
-            points: 72,
-        },
-        Axis::Linear {
-            lo: 0.0,
-            hi: 1.0,
-            points: 9,
-        },
-    )
-    .expect("valid axes");
-    l.hit_ratio
+    );
+    let series = l
+        .hit_ratio
         .iter()
         .enumerate()
         .map(|(r, &h)| {
@@ -138,7 +121,14 @@ pub fn series() -> Vec<(String, Vec<(f64, f64)>)> {
                     .collect(),
             )
         })
-        .collect()
+        .collect();
+    (report, series)
+}
+
+/// The report alone, as the tests below read it.
+#[cfg(test)]
+fn run(ctx: &ExecCtx) -> Report {
+    run_with_series(ctx).0
 }
 
 #[cfg(test)]

@@ -25,7 +25,7 @@ use hprc_sched::preempt::{Edf, RtTask, StrictPriority};
 use hprc_sim::node::NodeConfig;
 use serde::Serialize;
 
-use crate::report::Report;
+use crate::report::{Report, Series};
 use crate::runner::par_indexed;
 use crate::scenario::{model_params_for, run_point_preemptive, PreemptPointRun};
 use crate::table::{Align, TextTable};
@@ -209,13 +209,15 @@ fn grid() -> Vec<(&'static str, f64, &'static str)> {
     points
 }
 
-/// Runs the deadline-tightness × platform × policy sweep. Engine and
+/// Runs the deadline-tightness × platform × policy sweep, with the
+/// measured node's curves vs tightness: for each policy, its
+/// deadline-miss ratio, then its effective speedup. Engine and
 /// renderer metrics (`sched.{policy}.preempt.*`, `sim.preempt.*`) land
 /// in `ctx.registry` via the sharded merge, plus the summary gauges
 /// `exp.ext_preempt.max_miss_ratio_gain` (largest miss-ratio reduction
 /// preemption buys over the run-to-completion baseline) and
 /// `exp.ext_preempt.total_preemptions`.
-pub fn run(ctx: &ExecCtx) -> Report {
+pub fn run_with_series(ctx: &ExecCtx) -> (Report, Series) {
     let _span = ctx.registry.span("exp.ext_preempt");
     let points = grid();
     let runs = par_indexed(points.len(), ctx, |i, child| {
@@ -323,24 +325,49 @@ pub fn run(ctx: &ExecCtx) -> Report {
         t.render()
     );
 
-    Report::new(
+    let mut series = Vec::with_capacity(2 * POLICIES.len());
+    for policy in POLICIES {
+        let measured: Vec<&Row> = rows
+            .iter()
+            .filter(|r| r.node == "measured" && r.policy == policy)
+            .collect();
+        let curve = |y: fn(&Row) -> f64| measured.iter().map(|r| (r.tightness, y(r))).collect();
+        series.push((
+            format!("miss_ratio_{policy}"),
+            curve(|r| r.deadline_miss_ratio),
+        ));
+        series.push((
+            format!("effective_speedup_{policy}"),
+            curve(|r| r.effective_speedup),
+        ));
+    }
+    let report = Report::new(
         "ext-preempt",
         "E-preempt — Preemptive execution via PR: deadlines, priority + EDF",
         body,
         &rows,
-    )
+    );
+    (report, series)
+}
+
+/// The report alone, as the tests below read it.
+#[cfg(test)]
+fn run(ctx: &ExecCtx) -> Report {
+    run_with_series(ctx).0
 }
 
 /// The Chrome trace artifact: the measured node's tightest-deadline
 /// preemptive-priority schedule (checkpoint/restore transfers visible
-/// on the ConfigPort lane). The run itself is silenced; `registry`
-/// receives only the export's truncation accounting.
-pub fn chrome_trace(
-    run_ctx: &ExecCtx,
-    registry: &hprc_obs::Registry,
-) -> Vec<hprc_obs::ChromeEvent> {
+/// on the ConfigPort lane), with the journal's causal links as flow
+/// arrows. The run itself is registry-silenced; `registry` receives
+/// only the export's truncation accounting.
+pub fn trace(run_ctx: &ExecCtx, registry: &hprc_obs::Registry) -> Vec<hprc_obs::ChromeEvent> {
     let r = run_grid_point("measured", TRACE_TIGHTNESS, "priority", run_ctx);
-    r.report.timeline.chrome_events_recorded(1, registry)
+    let events = r.report.timeline.chrome_events_recorded(1, registry);
+    let flows = run_ctx
+        .journal
+        .chrome_flow_events(1, Some("sim.run_preemptive"));
+    crate::assemble_trace(events, &[(1, "preemptive schedule")], flows)
 }
 
 /// The attribution artifact: the six-bucket attribution of the
@@ -362,42 +389,6 @@ pub fn attribution(ctx: &ExecCtx) -> hprc_attr::AttributionReport {
     let t_task = exec_total_ns as f64 / 1e9 / (s.hits + s.misses).max(1) as f64;
     let params = model_params_for(&node, t_task, s.hit_ratio(), s.jobs.max(1));
     hprc_attr::AttributionReport::new("ext-preempt", &params, &np.report, &pr.report)
-}
-
-/// CSV series (measured node): deadline-miss ratio and effective
-/// speedup vs tightness, one curve per policy.
-pub fn series(ctx: &ExecCtx) -> Vec<(String, Vec<(f64, f64)>)> {
-    let mut out = Vec::with_capacity(2 * POLICIES.len());
-    for policy in POLICIES {
-        let runs: Vec<PreemptPointRun> = TIGHTNESS
-            .iter()
-            .map(|&tightness| run_grid_point("measured", tightness, policy, ctx))
-            .collect();
-        let node = node_for("measured");
-        out.push((
-            format!("miss_ratio_{policy}"),
-            TIGHTNESS
-                .iter()
-                .zip(&runs)
-                .map(|(&x, r)| (x, r.outcome.stats.deadline_miss_ratio()))
-                .collect(),
-        ));
-        out.push((
-            format!("effective_speedup_{policy}"),
-            TIGHTNESS
-                .iter()
-                .zip(&runs)
-                .map(|(&x, r)| {
-                    let tasks = vision_pipeline(&node, x);
-                    (
-                        x,
-                        serial_frtr_s(&node, &tasks) / r.outcome.stats.makespan_s(),
-                    )
-                })
-                .collect(),
-        ));
-    }
-    out
 }
 
 #[cfg(test)]

@@ -8,7 +8,7 @@ use hprc_model::params::NormalizedTimes;
 use hprc_model::sweep::{figure5_family, Axis};
 use serde::Serialize;
 
-use crate::report::Report;
+use crate::report::{Report, Series};
 use crate::table::{Align, TextTable};
 
 #[derive(Serialize)]
@@ -24,7 +24,6 @@ struct CurveSummary {
 #[derive(Serialize)]
 struct Payload {
     curves: Vec<CurveSummary>,
-    series: Vec<(String, Vec<(f64, f64)>)>,
 }
 
 /// The `(H, X_PRTR)` grid of the figure.
@@ -33,8 +32,9 @@ pub const HIT_RATIOS: [f64; 5] = [0.0, 0.25, 0.5, 0.75, 1.0];
 /// estimated (0.17 / 0.37) operating points.
 pub const X_PRTRS: [f64; 4] = [0.012, 0.1, 0.17, 0.37];
 
-/// Regenerates Figure 5.
-pub fn run(ctx: &ExecCtx) -> Report {
+/// Regenerates Figure 5: the per-curve summary report and the full
+/// curves.
+pub fn run_with_series(ctx: &ExecCtx) -> (Report, Series) {
     let _span = ctx.registry.span("exp.fig5");
     let axis = Axis::Log {
         lo: 1e-3,
@@ -50,7 +50,6 @@ pub fn run(ctx: &ExecCtx) -> Report {
     .expect("valid sweep");
 
     let mut summaries = Vec::new();
-    let mut series = Vec::new();
     for c in &curves {
         let (px, ps) = c.peak().expect("non-empty curve");
         // Parse H and X_PRTR back out of the label for the closed form.
@@ -80,7 +79,6 @@ pub fn run(ctx: &ExecCtx) -> Report {
             s_at_x_task_1: at(1.0),
             s_at_x_task_10: at(10.0),
         });
-        series.push((c.label.clone(), c.points.clone()));
     }
 
     let mut t = TextTable::new(vec![
@@ -137,36 +135,20 @@ pub fn run(ctx: &ExecCtx) -> Report {
         h0_0012.peak_speedup,
     );
 
-    let mut report = Report::new(
+    let report = Report::new(
         "fig5",
         "Figure 5 — Asymptotic performance of PRTR (model)",
         body,
-        &Payload {
-            curves: summaries,
-            series: series.clone(),
-        },
+        &Payload { curves: summaries },
     );
-    // Keep only summaries in the JSON body; curves go to CSV separately.
-    report.json = serde_json::json!({
-        "curves": report.json["curves"],
-    });
-    report
+    let series = curves.into_iter().map(|c| (c.label, c.points)).collect();
+    (report, series)
 }
 
-/// The full curve series, for CSV output.
-pub fn series() -> Vec<(String, Vec<(f64, f64)>)> {
-    let curves = figure5_family(
-        NormalizedTimes::ideal(1.0, 0.1),
-        &HIT_RATIOS,
-        &X_PRTRS,
-        Axis::Log {
-            lo: 1e-3,
-            hi: 100.0,
-            points: 600,
-        },
-    )
-    .expect("valid sweep");
-    curves.into_iter().map(|c| (c.label, c.points)).collect()
+/// The report alone, as the tests below read it.
+#[cfg(test)]
+fn run(ctx: &ExecCtx) -> Report {
+    run_with_series(ctx).0
 }
 
 #[cfg(test)]

@@ -7,11 +7,12 @@
 use hprc_attr::AttributionReport;
 use hprc_ctx::ExecCtx;
 use hprc_fpga::floorplan::Floorplan;
+use hprc_obs::ChromeEvent;
 use hprc_sim::node::NodeConfig;
 use hprc_sim::trace::Timeline;
 use serde::Serialize;
 
-use crate::report::Report;
+use crate::report::{Report, Series};
 use crate::runner::par_indexed;
 use crate::scenario::{figure9_point, figure9_point_full, SweepPoint};
 use crate::table::{Align, TextTable};
@@ -23,6 +24,16 @@ pub enum Panel {
     Estimated,
     /// Figure 9(b): measured configuration times.
     Measured,
+}
+
+impl Panel {
+    /// The experiment id of the panel.
+    fn id(self) -> &'static str {
+        match self {
+            Panel::Estimated => "fig9a",
+            Panel::Measured => "fig9b",
+        }
+    }
 }
 
 #[derive(Serialize)]
@@ -78,37 +89,42 @@ pub fn peak_timeline(panel: Panel, calls: usize, ctx: &ExecCtx) -> Timeline {
     figure9_point(&node, node.t_prtr_s(), calls, ctx).1
 }
 
+/// The `<id>.trace.json` artifact: the 30-call PRTR timeline at the
+/// panel's peak, with the journal's causal links
+/// (decision→configure→execute) as Chrome flow arrows.
+pub fn trace(panel: Panel, ctx: &ExecCtx) -> Vec<ChromeEvent> {
+    let events = peak_timeline(panel, 30, ctx).chrome_events(1);
+    let flows = ctx.journal.chrome_flow_events(1, Some("sim.run_prtr"));
+    let process = format!("{} peak PRTR", panel.id());
+    crate::assemble_trace(events, &[(1, &process)], flows)
+}
+
 /// Wall-clock attribution of the panel's peak operating point
-/// (`T_task = T_PRTR`): exclusive time buckets for the paired FRTR/PRTR
-/// runs plus the measured-vs-Eq(7) bound gap — the `<id>.attr.json`
-/// artifact. Deterministic for a given context seed, independent of
-/// `ctx.jobs` (single-point runs are serial).
-pub fn peak_attribution(panel: Panel, calls: usize, ctx: &ExecCtx) -> AttributionReport {
+/// (`T_task = T_PRTR`, 300 calls): exclusive time buckets for the
+/// paired FRTR/PRTR runs plus the measured-vs-Eq(7) bound gap — the
+/// `<id>.attr.json` artifact. Deterministic for a given context seed,
+/// independent of `ctx.jobs` (single-point runs are serial).
+pub fn peak_attribution(panel: Panel, ctx: &ExecCtx) -> AttributionReport {
     let node = panel_node(panel);
-    let run = figure9_point_full(&node, node.t_prtr_s(), calls, ctx);
-    let id = match panel {
-        Panel::Estimated => "fig9a",
-        Panel::Measured => "fig9b",
-    };
-    let report = AttributionReport::new(id, &run.params, &run.frtr, &run.prtr);
+    let run = figure9_point_full(&node, node.t_prtr_s(), CALLS_PER_POINT, ctx);
+    let report = AttributionReport::new(panel.id(), &run.params, &run.frtr, &run.prtr);
     report.prtr.record(&ctx.registry, "exp.fig9.peak");
     report
 }
 
-/// Regenerates one panel of Figure 9: the sweep's metrics land in
-/// `ctx.registry`, plus summary gauges `exp.fig9.peak_speedup` /
-/// `exp.fig9.peak_x_task`.
-pub fn run(panel: Panel, ctx: &ExecCtx) -> Report {
+/// Regenerates one panel of Figure 9 and its simulator and model
+/// curves: the sweep's metrics land in `ctx.registry`, plus summary
+/// gauges `exp.fig9.peak_speedup` / `exp.fig9.peak_x_task`.
+pub fn run_with_series(panel: Panel, ctx: &ExecCtx) -> (Report, Series) {
     let _span = ctx.registry.span("exp.fig9");
     let (node, points) = sweep(panel, 41, ctx);
-    let (id, title, paper_peak) = match panel {
+    let id = panel.id();
+    let (title, paper_peak) = match panel {
         Panel::Estimated => (
-            "fig9a",
             "Figure 9(a) — PRTR speedup, estimated configuration times (dual PRR)",
             1.0 + 1.0 / 0.17, // the paper's "can not exceed 7 times"
         ),
         Panel::Measured => (
-            "fig9b",
             "Figure 9(b) — PRTR speedup, measured configuration times (dual PRR)",
             1.0 + 1.0 / 0.012, // the paper's "up to 87x"
         ),
@@ -128,7 +144,6 @@ pub fn run(panel: Panel, ctx: &ExecCtx) -> Report {
     // export the attribution gauges into the experiment's registry.
     let attribution = peak_attribution(
         panel,
-        CALLS_PER_POINT,
         &ExecCtx {
             registry: hprc_obs::Registry::noop(),
             journal: hprc_obs::Journal::noop(),
@@ -184,7 +199,17 @@ pub fn run(panel: Panel, ctx: &ExecCtx) -> Report {
         attribution.render_table(),
     );
 
-    Report::new(
+    let series = vec![
+        (
+            "simulator".into(),
+            points.iter().map(|p| (p.x_task, p.speedup_sim)).collect(),
+        ),
+        (
+            "model".into(),
+            points.iter().map(|p| (p.x_task, p.speedup_model)).collect(),
+        ),
+    ];
+    let report = Report::new(
         id,
         title,
         body,
@@ -199,22 +224,8 @@ pub fn run(panel: Panel, ctx: &ExecCtx) -> Report {
             attribution,
             points,
         },
-    )
-}
-
-/// Curve series (sim + model) for CSV output.
-pub fn series(panel: Panel, ctx: &ExecCtx) -> Vec<(String, Vec<(f64, f64)>)> {
-    let (_, points) = sweep(panel, 41, ctx);
-    vec![
-        (
-            "simulator".into(),
-            points.iter().map(|p| (p.x_task, p.speedup_sim)).collect(),
-        ),
-        (
-            "model".into(),
-            points.iter().map(|p| (p.x_task, p.speedup_model)).collect(),
-        ),
-    ]
+    );
+    (report, series)
 }
 
 #[cfg(test)]

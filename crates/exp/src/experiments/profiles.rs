@@ -84,12 +84,13 @@ fn frtr_task_time(node: &NodeConfig, t_task: f64) -> f64 {
 /// The three profiles as one Chrome trace: FRTR under pid 1, PRTR
 /// all-miss under pid 2, PRTR pre-fetched under pid 3 — Figures 3 and 4
 /// side by side in Perfetto.
-pub fn chrome_trace(ctx: &ExecCtx) -> Vec<hprc_obs::ChromeEvent> {
+pub fn trace(ctx: &ExecCtx) -> Vec<hprc_obs::ChromeEvent> {
     let (_, _, frtr, prtr_miss, prtr_hit) = build(ctx);
     let mut events = frtr.timeline.chrome_events(1);
     events.extend(prtr_miss.timeline.chrome_events(2));
     events.extend(prtr_hit.timeline.chrome_events(3));
-    events
+    let processes = [(1, "FRTR"), (2, "PRTR all-miss"), (3, "PRTR pre-fetched")];
+    crate::assemble_trace(events, &processes, Vec::new())
 }
 
 /// Renders the three execution profiles for a 4-call sequence with

@@ -87,7 +87,7 @@ pub fn run(ctx: &ExecCtx) -> Report {
 
     // Attribution at the measured panel's peak: how much configuration
     // the runtime hid, and how close the finite run sits to Eq (7).
-    let att = fig9::peak_attribution(fig9::Panel::Measured, 300, ctx);
+    let att = fig9::peak_attribution(fig9::Panel::Measured, ctx);
     rows.push(Row {
         quantity: "Config hidden at peak (PRTR)".into(),
         paper: "(implied by eq. 5)".into(),

@@ -262,7 +262,7 @@ fn replay_check(path: &str, jobs: usize) -> Result<bool, String> {
     let text = read(path)?;
     let p = parse(&text)?;
     let regenerated =
-        hprc_exp_journal_regen(&p.experiment, p.seed, jobs).map_err(|e| format!("{path}: {e}"))?;
+        crate::run_journaled(&p.experiment, p.seed, jobs).map_err(|e| format!("{path}: {e}"))?;
     match first_divergence(&text, &regenerated) {
         None => {
             println!(
@@ -278,12 +278,6 @@ fn replay_check(path: &str, jobs: usize) -> Result<bool, String> {
             Ok(false)
         }
     }
-}
-
-// Thin indirection so the analysis half stays unit-testable without
-// re-running experiments.
-fn hprc_exp_journal_regen(id: &str, seed: u64, jobs: usize) -> Result<String, crate::ExpError> {
-    crate::run_journaled(id, seed, jobs)
 }
 
 fn usage() -> &'static str {

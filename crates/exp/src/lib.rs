@@ -2,9 +2,10 @@
 //!
 //! The experiment harness: regenerates every table and figure of the paper
 //! (Table 1, Table 2, Figure 5, Figure 9(a)/(b), the Figures 2-4 execution
-//! profiles) plus the extension experiments E1-E6 of DESIGN.md, printing
+//! profiles) plus the `ext-*` extension experiments of DESIGN.md, printing
 //! paper-vs-reproduced comparisons and writing JSON/CSV artifacts under
-//! `results/`.
+//! `results/`. [`EXPERIMENTS`] is the one table of them: the CLI, `list`,
+//! `resume` and `journal replay-check` all read it.
 //!
 //! Run everything with the `hprc-exp` binary:
 //!
@@ -30,24 +31,27 @@ pub mod scenario;
 pub mod table;
 
 use std::fmt;
-use std::path::Path;
 
+use experiments::fig9::Panel;
+use hprc_attr::AttributionReport;
 use hprc_ctx::ExecCtx;
-use report::Report;
+use hprc_obs::{ChromeEvent, DeltaCache, Journal, Registry};
+use report::{Report, Series};
 
 /// Why an experiment (or one of its side-artifacts) could not be
 /// produced. The harness surfaces these as non-zero exits with a
 /// message instead of panicking mid-sweep.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ExpError {
-    /// The id is not in [`ALL_EXPERIMENTS`].
+    /// The id is not in [`EXPERIMENTS`].
     UnknownId(String),
     /// The fleet orchestrator failed (a node simulation rejected its
     /// inputs or the budget accounting was inconsistent).
     Fleet(fleet::FleetError),
     /// A payload would not serialize to JSON.
     Serialize(String),
-    /// An experiment worker panicked; the message is the panic payload.
+    /// An experiment or one of its side-artifact builders panicked; the
+    /// message is the panic payload.
     Panicked(String),
 }
 
@@ -76,154 +80,304 @@ impl From<serde_json::Error> for ExpError {
     }
 }
 
-/// All experiment ids, in presentation order.
-pub const ALL_EXPERIMENTS: [&str; 24] = [
-    "summary",
-    "table1",
-    "table2",
-    "fig5",
-    "fig9a",
-    "fig9b",
-    "profiles",
-    "validate",
-    "ext-prefetch",
-    "ext-decision",
-    "ext-flows",
-    "ext-granularity",
-    "ext-icap",
-    "ext-compress",
-    "ext-multitask",
-    "ext-hybrid",
-    "ext-landscape",
-    "ext-defrag",
-    "ext-fit",
-    "ext-platforms",
-    "ext-flexible",
-    "ext-faults",
-    "ext-preempt",
-    "ext-fleet",
-];
-
-/// One-line description per experiment id, in [`ALL_EXPERIMENTS`] order
-/// (what `hprc-exp list` prints).
-pub const EXPERIMENT_DESCRIPTIONS: [(&str, &str); 24] = [
-    (
-        "summary",
-        "Paper-vs-reproduced digest of every headline number",
-    ),
-    ("table1", "Table 1: the three image filters' per-call times"),
-    (
-        "table2",
-        "Table 2: configuration times and X ratios per platform",
-    ),
-    (
-        "fig5",
-        "Figure 5: analytic speedup bound vs task:config ratio",
-    ),
-    (
-        "fig9a",
-        "Figure 9(a): measured-vs-model speedup, estimated node",
-    ),
-    (
-        "fig9b",
-        "Figure 9(b): measured-vs-model speedup, measured node",
-    ),
-    (
-        "profiles",
-        "Figures 2-4: FRTR / all-miss / pre-fetched timelines",
-    ),
-    (
-        "validate",
-        "Cross-checks the simulator against the closed forms",
-    ),
-    ("ext-prefetch", "E1: prefetch policies vs hit ratio H"),
-    ("ext-decision", "E2: decision-latency sensitivity"),
-    (
-        "ext-flows",
-        "E3: data-flow regimes on the shared input channel",
-    ),
-    ("ext-granularity", "E4: PRR granularity sweep"),
-    ("ext-icap", "E5: ICAP bandwidth sweep"),
-    ("ext-compress", "E6: bitstream compression sweep"),
-    (
-        "ext-multitask",
-        "Multi-tasking contention on the configuration port",
-    ),
-    ("ext-hybrid", "Hybrid FRTR/PRTR cutover policies"),
-    ("ext-landscape", "Speedup landscape over (H, X_PRTR)"),
-    (
-        "ext-defrag",
-        "Fragmentation and defragmentation of the PRR pool",
-    ),
-    ("ext-fit", "Bitstream placement/fitting strategies"),
-    ("ext-platforms", "Cross-platform calibration sweep"),
-    ("ext-flexible", "Flexible region shapes and relocation"),
-    (
-        "ext-faults",
-        "Fault injection and recovery across the reconfig path",
-    ),
-    (
-        "ext-preempt",
-        "Preemptive execution via PR: deadlines, priority + EDF",
-    ),
-    (
-        "ext-fleet",
-        "Fleet-scale orchestration: kills, racks, run budgets",
-    ),
-];
-
-/// The one-line description for an experiment id, if known.
-pub fn describe(id: &str) -> Option<&'static str> {
-    EXPERIMENT_DESCRIPTIONS
-        .iter()
-        .find(|(i, _)| *i == id)
-        .map(|(_, d)| *d)
+/// How an experiment runs. The variant says, without running anything,
+/// whether the experiment writes an `<id>.csv`.
+#[derive(Clone, Copy)]
+pub enum Run {
+    /// The report alone.
+    Plain(fn(&ExecCtx) -> Result<Report, ExpError>),
+    /// The report and the curves of its `<id>.csv`, from one execution.
+    WithSeries(fn(&ExecCtx) -> Result<(Report, Series), ExpError>),
 }
 
-/// Runs one experiment by id (see [`ALL_EXPERIMENTS`]).
+/// Builds an experiment's `<id>.trace.json` events from the silenced
+/// trace context and the experiment's live registry (see
+/// [`Experiment`]).
+pub type TraceBuilder = fn(&ExecCtx, &Registry) -> Result<Vec<ChromeEvent>, ExpError>;
+
+/// One experiment: its id, its `list` line, how it runs, and the
+/// builders of its `--trace` side artifacts.
 ///
-/// The context carries everything cross-cutting: substrate metrics and
-/// per-experiment spans land in `ctx.registry`, workload RNG streams
-/// derive from `ctx.seed`, and sweeps fan out across `ctx.jobs` worker
-/// threads (deterministically — results are identical at any budget).
-/// `ExecCtx::default()` is the plain serial, uninstrumented run.
-pub fn run_experiment(id: &str, ctx: &ExecCtx) -> Result<Report, ExpError> {
-    Ok(match id {
-        "summary" => experiments::summary::run(ctx),
-        "table1" => experiments::table1::run(ctx),
-        "table2" => experiments::table2::run(ctx),
-        "fig5" => experiments::fig5::run(ctx),
-        "fig9a" => experiments::fig9::run(experiments::fig9::Panel::Estimated, ctx),
-        "fig9b" => experiments::fig9::run(experiments::fig9::Panel::Measured, ctx),
-        "profiles" => experiments::profiles::run(ctx),
-        "validate" => experiments::validate::run(ctx),
-        "ext-prefetch" => experiments::ext_prefetch::run(ctx),
-        "ext-decision" => experiments::ext_decision::run(ctx),
-        "ext-flows" => experiments::ext_flows::run(ctx),
-        "ext-granularity" => experiments::ext_granularity::run(ctx),
-        "ext-compress" => experiments::ext_compress::run(ctx),
-        "ext-multitask" => experiments::ext_multitask::run(ctx),
-        "ext-hybrid" => experiments::ext_hybrid::run(ctx),
-        "ext-landscape" => experiments::ext_landscape::run(ctx),
-        "ext-defrag" => experiments::ext_defrag::run(ctx),
-        "ext-fit" => experiments::ext_fit::run(ctx),
-        "ext-platforms" => experiments::ext_platforms::run(ctx),
-        "ext-flexible" => experiments::ext_flexible::run(ctx),
-        "ext-faults" => experiments::ext_faults::run(ctx),
-        "ext-preempt" => experiments::ext_preempt::run(ctx),
-        "ext-fleet" => experiments::ext_fleet::run(ctx)?,
-        "ext-icap" => experiments::ext_icap::run(ctx),
-        _ => return Err(ExpError::UnknownId(id.to_string())),
-    })
+/// The builders are not re-runs of the experiment: each executes one
+/// representative point of its own. The trace builder runs under a
+/// registry-silenced context whose journal has the fixed salt
+/// `TRACE_FLOW_SALT` (so its flow arrows are a pure function of the
+/// experiment), and gets the experiment's live registry to record
+/// truncation into; the attribution builder runs fully silenced.
+pub struct Experiment {
+    /// The id the CLI takes (`fig9b`, `ext-faults`, ...).
+    pub id: &'static str,
+    /// The one-line description `hprc-exp list` prints.
+    pub description: &'static str,
+    /// Runs the experiment.
+    pub run: Run,
+    /// Builds the `<id>.trace.json` Chrome trace.
+    pub trace: Option<TraceBuilder>,
+    /// Builds the `<id>.attr.json` attribution.
+    pub attribution: Option<fn(&ExecCtx) -> AttributionReport>,
 }
 
-/// A copy of `ctx` with recording silenced: used for side-artifacts
-/// (Chrome traces, CSV series) that re-run scenarios, so they don't
-/// double-count activity in the experiment's own metrics.
-fn quiet(ctx: &ExecCtx) -> ExecCtx {
+/// An entry without side artifacts.
+const fn entry(id: &'static str, description: &'static str, run: Run) -> Experiment {
+    Experiment {
+        id,
+        description,
+        run,
+        trace: None,
+        attribution: None,
+    }
+}
+
+/// Every experiment, in presentation order.
+pub const EXPERIMENTS: [Experiment; 24] = {
+    use experiments::*;
+    [
+        entry(
+            "summary",
+            "Paper-vs-reproduced digest of every headline number",
+            Run::Plain(|c| Ok(summary::run(c))),
+        ),
+        entry(
+            "table1",
+            "Table 1: the three image filters' per-call times",
+            Run::Plain(|c| Ok(table1::run(c))),
+        ),
+        entry(
+            "table2",
+            "Table 2: configuration times and X ratios per platform",
+            Run::Plain(|c| Ok(table2::run(c))),
+        ),
+        entry(
+            "fig5",
+            "Figure 5: analytic speedup bound vs task:config ratio",
+            Run::WithSeries(|c| Ok(fig5::run_with_series(c))),
+        ),
+        Experiment {
+            trace: Some(|c, _| Ok(fig9::trace(Panel::Estimated, c))),
+            attribution: Some(|c| fig9::peak_attribution(Panel::Estimated, c)),
+            ..entry(
+                "fig9a",
+                "Figure 9(a): measured-vs-model speedup, estimated node",
+                Run::WithSeries(|c| Ok(fig9::run_with_series(Panel::Estimated, c))),
+            )
+        },
+        Experiment {
+            trace: Some(|c, _| Ok(fig9::trace(Panel::Measured, c))),
+            attribution: Some(|c| fig9::peak_attribution(Panel::Measured, c)),
+            ..entry(
+                "fig9b",
+                "Figure 9(b): measured-vs-model speedup, measured node",
+                Run::WithSeries(|c| Ok(fig9::run_with_series(Panel::Measured, c))),
+            )
+        },
+        Experiment {
+            trace: Some(|c, _| Ok(profiles::trace(c))),
+            attribution: Some(profiles::attribution),
+            ..entry(
+                "profiles",
+                "Figures 2-4: FRTR / all-miss / pre-fetched timelines",
+                Run::Plain(|c| Ok(profiles::run(c))),
+            )
+        },
+        entry(
+            "validate",
+            "Cross-checks the simulator against the closed forms",
+            Run::Plain(|c| Ok(validate::run(c))),
+        ),
+        entry(
+            "ext-prefetch",
+            "E1: prefetch policies vs hit ratio H",
+            Run::Plain(|c| Ok(ext_prefetch::run(c))),
+        ),
+        entry(
+            "ext-decision",
+            "E2: decision-latency sensitivity",
+            Run::Plain(|c| Ok(ext_decision::run(c))),
+        ),
+        entry(
+            "ext-flows",
+            "E3: data-flow regimes on the shared input channel",
+            Run::Plain(|c| Ok(ext_flows::run(c))),
+        ),
+        entry(
+            "ext-granularity",
+            "E4: PRR granularity sweep",
+            Run::Plain(|c| Ok(ext_granularity::run(c))),
+        ),
+        entry(
+            "ext-icap",
+            "E5: ICAP bandwidth sweep",
+            Run::Plain(|c| Ok(ext_icap::run(c))),
+        ),
+        entry(
+            "ext-compress",
+            "E6: bitstream compression sweep",
+            Run::Plain(|c| Ok(ext_compress::run(c))),
+        ),
+        entry(
+            "ext-multitask",
+            "Multi-tasking contention on the configuration port",
+            Run::Plain(|c| Ok(ext_multitask::run(c))),
+        ),
+        entry(
+            "ext-hybrid",
+            "Hybrid FRTR/PRTR cutover policies",
+            Run::Plain(|c| Ok(ext_hybrid::run(c))),
+        ),
+        entry(
+            "ext-landscape",
+            "Speedup landscape over (H, X_PRTR)",
+            Run::WithSeries(|c| Ok(ext_landscape::run_with_series(c))),
+        ),
+        entry(
+            "ext-defrag",
+            "Fragmentation and defragmentation of the PRR pool",
+            Run::Plain(|c| Ok(ext_defrag::run(c))),
+        ),
+        entry(
+            "ext-fit",
+            "Bitstream placement/fitting strategies",
+            Run::Plain(|c| Ok(ext_fit::run(c))),
+        ),
+        entry(
+            "ext-platforms",
+            "Cross-platform calibration sweep",
+            Run::Plain(|c| Ok(ext_platforms::run(c))),
+        ),
+        entry(
+            "ext-flexible",
+            "Flexible region shapes and relocation",
+            Run::Plain(|c| Ok(ext_flexible::run(c))),
+        ),
+        Experiment {
+            trace: Some(|c, r| Ok(ext_faults::trace(c, r))),
+            attribution: Some(ext_faults::attribution),
+            ..entry(
+                "ext-faults",
+                "Fault injection and recovery across the reconfig path",
+                Run::WithSeries(|c| Ok(ext_faults::run_with_series(c))),
+            )
+        },
+        Experiment {
+            trace: Some(|c, r| Ok(ext_preempt::trace(c, r))),
+            attribution: Some(ext_preempt::attribution),
+            ..entry(
+                "ext-preempt",
+                "Preemptive execution via PR: deadlines, priority + EDF",
+                Run::WithSeries(|c| Ok(ext_preempt::run_with_series(c))),
+            )
+        },
+        Experiment {
+            trace: Some(|c, r| Ok(ext_fleet::trace(c, r)?)),
+            ..entry(
+                "ext-fleet",
+                "Fleet-scale orchestration: kills, racks, run budgets",
+                Run::WithSeries(|c| Ok(ext_fleet::run_with_series(c)?)),
+            )
+        },
+    ]
+};
+
+/// All experiment ids, in presentation order (the ids of
+/// [`EXPERIMENTS`]).
+pub const ALL_EXPERIMENTS: [&str; 24] = {
+    let mut ids = [""; 24];
+    let mut i = 0;
+    while i < ids.len() {
+        ids[i] = EXPERIMENTS[i].id;
+        i += 1;
+    }
+    ids
+};
+
+/// The [`EXPERIMENTS`] entry for `id`.
+pub fn experiment(id: &str) -> Result<&'static Experiment, ExpError> {
+    let table: &'static [Experiment] = &EXPERIMENTS;
+    table
+        .iter()
+        .find(|e| e.id == id)
+        .ok_or_else(|| ExpError::UnknownId(id.to_string()))
+}
+
+impl Experiment {
+    /// Runs the experiment once: its report, plus the curves of its
+    /// `<id>.csv` if it has one.
+    ///
+    /// The context carries everything cross-cutting: substrate metrics
+    /// and per-experiment spans land in `ctx.registry`, workload RNG
+    /// streams derive from `ctx.seed`, and sweeps fan out across
+    /// `ctx.jobs` worker threads (deterministically — results are
+    /// identical at any budget). `ExecCtx::default()` is the plain
+    /// serial, uninstrumented run.
+    pub fn execute(&self, ctx: &ExecCtx) -> Result<(Report, Option<Series>), ExpError> {
+        match self.run {
+            Run::Plain(run) => Ok((run(ctx)?, None)),
+            Run::WithSeries(run) => run(ctx).map(|(report, series)| (report, Some(series))),
+        }
+    }
+
+    /// The `<id>.trace.json` Chrome trace, if the experiment has one:
+    /// `ph:"M"` metadata naming its process/thread rows, the
+    /// representative timeline's events and, for single-timeline
+    /// traces, the journal's causal links as flow arrows. Truncation
+    /// accounting lands in `ctx.registry`.
+    pub fn chrome_trace(&self, ctx: &ExecCtx) -> Result<Option<Vec<ChromeEvent>>, ExpError> {
+        let Some(build) = self.trace else {
+            return Ok(None);
+        };
+        let journaled = ExecCtx {
+            journal: Journal::new(TRACE_FLOW_SALT),
+            ..quiet(ctx)
+        };
+        build(&journaled, &ctx.registry).map(Some)
+    }
+
+    /// The `<id>.attr.json` attribution, if the experiment has one; it
+    /// never records into `ctx`.
+    pub fn attribution(&self, ctx: &ExecCtx) -> Option<AttributionReport> {
+        self.attribution.map(|build| build(&quiet(ctx)))
+    }
+}
+
+/// Runs experiment `id` and returns its report (see
+/// [`Experiment::execute`]). Kept for the repository benchmark's regen
+/// workload until it calls [`recover::produce`] (ROADMAP item 1).
+pub fn run_experiment(id: &str, ctx: &ExecCtx) -> Result<Report, ExpError> {
+    Ok(experiment(id)?.execute(ctx)?.0)
+}
+
+/// The `<id>.trace.json` events of experiment `id` (see
+/// [`Experiment::chrome_trace`]); `Ok(None)` without one. Kept for the
+/// repository benchmark's regen workload until ROADMAP item 1.
+pub fn chrome_trace(id: &str, ctx: &ExecCtx) -> Result<Option<Vec<ChromeEvent>>, ExpError> {
+    experiment(id).map_or(Ok(None), |e| e.chrome_trace(ctx))
+}
+
+/// The `<id>.attr.json` attribution of experiment `id` (see
+/// [`Experiment::attribution`]). Kept for the repository benchmark's
+/// regen workload until ROADMAP item 1.
+pub fn attribution(id: &str, ctx: &ExecCtx) -> Option<AttributionReport> {
+    experiment(id).ok()?.attribution(ctx)
+}
+
+/// The `<id>.csv` text of experiment `id`: a silenced run of a
+/// [`Run::WithSeries`] entry; `Ok(None)`, without running anything,
+/// for the rest. Kept for the repository benchmark's regen workload
+/// until ROADMAP item 1.
+pub fn series_text(id: &str, ctx: &ExecCtx) -> Result<Option<String>, ExpError> {
+    match experiment(id).map(|e| e.run) {
+        Ok(Run::WithSeries(run)) => Ok(Some(report::series_csv_text(&run(&quiet(ctx))?.1))),
+        _ => Ok(None),
+    }
+}
+
+/// A copy of `ctx` with recording silenced, for the side-artifact
+/// builders, so they don't double-count activity in the experiment's
+/// own metrics and journal.
+pub(crate) fn quiet(ctx: &ExecCtx) -> ExecCtx {
     ExecCtx {
-        registry: hprc_obs::Registry::noop(),
-        journal: hprc_obs::Journal::noop(),
+        registry: Registry::noop(),
+        journal: Journal::noop(),
         ..ctx.clone()
     }
 }
@@ -232,7 +386,7 @@ fn quiet(ctx: &ExecCtx) -> ExecCtx {
 /// flow arrows. Any constant works — the export only reads structure,
 /// never raw ids — but it must be *one* constant so traces stay
 /// byte-identical across runs and `--jobs` budgets.
-const TRACE_FLOW_SALT: u64 = 0x0C0A_1D0E;
+pub(crate) const TRACE_FLOW_SALT: u64 = 0x0C0A_1D0E;
 
 /// The deterministic journal salt for one experiment run: FNV-1a over
 /// the experiment id, XOR the base seed. Gives every experiment a
@@ -248,17 +402,34 @@ pub fn journal_salt(id: &str, seed: u64) -> u64 {
     h ^ seed
 }
 
-/// Re-runs experiment `id` under a live journal and returns the JSONL
+/// The context experiment `id` runs under: with `traced`, a live
+/// registry and a journal salted by [`journal_salt`]; silent otherwise.
+pub fn experiment_ctx(
+    id: &str,
+    seed: u64,
+    jobs: usize,
+    traced: bool,
+    delta: DeltaCache,
+) -> ExecCtx {
+    let ctx = ExecCtx::default()
+        .with_seed(seed)
+        .with_jobs(jobs)
+        .with_delta(delta);
+    if traced {
+        ctx.with_registry(Registry::new())
+            .with_journal(Journal::new(journal_salt(id, seed)))
+    } else {
+        ctx
+    }
+}
+
+/// Runs experiment `id` under a live journal and returns the JSONL
 /// journal text — the exact bytes `--trace` writes to
 /// `<id>.journal.jsonl` for the same `(id, seed)`, at any `jobs`
 /// budget. Errors for an unknown id or a failed run.
 pub fn run_journaled(id: &str, seed: u64, jobs: usize) -> Result<String, ExpError> {
-    let ctx = ExecCtx::default()
-        .with_registry(hprc_obs::Registry::new())
-        .with_journal(hprc_obs::Journal::new(journal_salt(id, seed)))
-        .with_seed(seed)
-        .with_jobs(jobs);
-    run_experiment(id, &ctx)?;
+    let ctx = experiment_ctx(id, seed, jobs, true, DeltaCache::disabled());
+    experiment(id)?.execute(&ctx)?;
     Ok(ctx.journal.to_jsonl(id, seed))
 }
 
@@ -277,150 +448,23 @@ fn lane_name(tid: u64) -> String {
 /// Prepends `ph:"M"` process/thread-naming metadata (derived from the
 /// distinct `(pid, tid)` rows of `events`) and appends causal flow
 /// arrows, producing the final trace artifact.
-fn assemble_trace(
-    events: Vec<hprc_obs::ChromeEvent>,
+pub(crate) fn assemble_trace(
+    events: Vec<ChromeEvent>,
     processes: &[(u64, &str)],
-    flows: Vec<hprc_obs::ChromeEvent>,
-) -> Vec<hprc_obs::ChromeEvent> {
+    flows: Vec<ChromeEvent>,
+) -> Vec<ChromeEvent> {
     use std::collections::BTreeSet;
     let rows: BTreeSet<(u64, u64)> = events.iter().map(|e| (e.pid, e.tid)).collect();
     let mut out = Vec::with_capacity(events.len() + flows.len() + rows.len() + processes.len());
     for (pid, name) in processes {
-        out.push(hprc_obs::ChromeEvent::process_name(*pid, *name));
+        out.push(ChromeEvent::process_name(*pid, *name));
     }
     for (pid, tid) in rows {
-        out.push(hprc_obs::ChromeEvent::thread_name(pid, tid, lane_name(tid)));
+        out.push(ChromeEvent::thread_name(pid, tid, lane_name(tid)));
     }
     out.extend(events);
     out.extend(flows);
     out
-}
-
-/// A representative Chrome trace (trace-event format) for experiments
-/// that have one: the peak-speedup PRTR timeline for the Figure 9
-/// panels, the three Figures 2-4 profiles for `profiles`. Every trace
-/// opens with `ph:"M"` metadata naming its process/thread rows; the
-/// single-timeline traces additionally carry the journal's causal
-/// links (decision→configure→execute, fault→retry) as Chrome flow
-/// arrows (`ph:"s"`/`"f"`). `Ok(None)` for experiments without one.
-pub fn chrome_trace(
-    id: &str,
-    ctx: &ExecCtx,
-) -> Result<Option<Vec<hprc_obs::ChromeEvent>>, ExpError> {
-    let quiet = quiet(ctx);
-    // Flow-bearing traces re-run under a fresh fixed-salt journal so
-    // the causal links can be exported; the fixed salt (not the run
-    // seed) keeps the artifact a pure function of the experiment.
-    let journaled = ExecCtx {
-        journal: hprc_obs::Journal::new(TRACE_FLOW_SALT),
-        ..quiet.clone()
-    };
-    Ok(Some(match id {
-        "fig9a" => {
-            let events = experiments::fig9::peak_timeline(
-                experiments::fig9::Panel::Estimated,
-                30,
-                &journaled,
-            )
-            .chrome_events(1);
-            let flows = journaled
-                .journal
-                .chrome_flow_events(1, Some("sim.run_prtr"));
-            assemble_trace(events, &[(1, "fig9a peak PRTR")], flows)
-        }
-        "fig9b" => {
-            let events = experiments::fig9::peak_timeline(
-                experiments::fig9::Panel::Measured,
-                30,
-                &journaled,
-            )
-            .chrome_events(1);
-            let flows = journaled
-                .journal
-                .chrome_flow_events(1, Some("sim.run_prtr"));
-            assemble_trace(events, &[(1, "fig9b peak PRTR")], flows)
-        }
-        "profiles" => assemble_trace(
-            experiments::profiles::chrome_trace(&quiet),
-            &[(1, "FRTR"), (2, "PRTR all-miss"), (3, "PRTR pre-fetched")],
-            Vec::new(),
-        ),
-        "ext-faults" => {
-            let events = experiments::ext_faults::chrome_trace(&journaled, &ctx.registry);
-            let flows = journaled
-                .journal
-                .chrome_flow_events(1, Some("sim.run_prtr"));
-            assemble_trace(events, &[(1, "faulty PRTR")], flows)
-        }
-        "ext-preempt" => {
-            let events = experiments::ext_preempt::chrome_trace(&journaled, &ctx.registry);
-            let flows = journaled
-                .journal
-                .chrome_flow_events(1, Some("sim.run_preemptive"));
-            assemble_trace(events, &[(1, "preemptive schedule")], flows)
-        }
-        "ext-fleet" => {
-            // The cluster trace: the journal itself is the event source
-            // (orchestrator dispatches/spans + witness node journals),
-            // with dispatch flow arrows linking them.
-            let events = experiments::ext_fleet::chrome_trace(&journaled, &ctx.registry)?;
-            let flows = journaled.journal.chrome_flow_events(1, None);
-            assemble_trace(events, &[(1, "fleet cluster")], flows)
-        }
-        _ => return Ok(None),
-    }))
-}
-
-/// A representative wall-clock attribution for experiments that have
-/// one: the peak operating point of the Figure 9 panels, the all-miss
-/// profile pair for `profiles` — the `<id>.attr.json` artifact written
-/// next to the `--trace` outputs. Runs under a silenced context, so the
-/// re-run doesn't perturb the experiment's own metrics; single-point
-/// runs are serial, so the result is byte-identical at any `--jobs`.
-pub fn attribution(id: &str, ctx: &ExecCtx) -> Option<hprc_attr::AttributionReport> {
-    let quiet = quiet(ctx);
-    Some(match id {
-        "fig9a" => {
-            experiments::fig9::peak_attribution(experiments::fig9::Panel::Estimated, 300, &quiet)
-        }
-        "fig9b" => {
-            experiments::fig9::peak_attribution(experiments::fig9::Panel::Measured, 300, &quiet)
-        }
-        "profiles" => experiments::profiles::attribution(&quiet),
-        "ext-faults" => experiments::ext_faults::attribution(&quiet),
-        "ext-preempt" => experiments::ext_preempt::attribution(&quiet),
-        _ => return None,
-    })
-}
-
-/// The CSV side-artifact (curve series) text for an experiment, if it
-/// has one — the exact bytes `write_series` seals to `<id>.csv`.
-pub fn series_text(id: &str, ctx: &ExecCtx) -> Result<Option<String>, ExpError> {
-    let quiet = quiet(ctx);
-    let series = match id {
-        "fig5" => experiments::fig5::series(),
-        "fig9a" => experiments::fig9::series(experiments::fig9::Panel::Estimated, &quiet),
-        "fig9b" => experiments::fig9::series(experiments::fig9::Panel::Measured, &quiet),
-        "ext-landscape" => experiments::ext_landscape::series(),
-        "ext-faults" => experiments::ext_faults::series(&quiet),
-        "ext-preempt" => experiments::ext_preempt::series(&quiet),
-        "ext-fleet" => experiments::ext_fleet::series(&quiet)?,
-        _ => return Ok(None),
-    };
-    Ok(Some(report::series_csv_text(&series)))
-}
-
-/// Writes (seals) an experiment's CSV side-artifacts, if it has any.
-pub fn write_series(id: &str, dir: &Path, ctx: &ExecCtx) -> std::io::Result<()> {
-    match series_text(id, ctx) {
-        Ok(Some(csv)) => {
-            std::fs::create_dir_all(dir)?;
-            hprc_obs::artifact::seal(&dir.join(format!("{id}.csv")), csv.as_bytes())?;
-            Ok(())
-        }
-        Ok(None) => Ok(()),
-        Err(e) => Err(std::io::Error::other(e.to_string())),
-    }
 }
 
 #[cfg(test)]
@@ -429,16 +473,21 @@ mod registry_tests {
 
     #[test]
     fn descriptions_cover_all_experiments_in_order() {
-        assert_eq!(EXPERIMENT_DESCRIPTIONS.len(), ALL_EXPERIMENTS.len());
-        for ((id, description), expected) in EXPERIMENT_DESCRIPTIONS.iter().zip(ALL_EXPERIMENTS) {
-            assert_eq!(*id, expected, "descriptions must follow presentation order");
-            assert!(!description.is_empty());
-            assert!(description.len() <= 60, "keep `list` one-line: {id}");
+        assert_eq!(EXPERIMENTS.len(), ALL_EXPERIMENTS.len());
+        for (i, (e, expected)) in EXPERIMENTS.iter().zip(ALL_EXPERIMENTS).enumerate() {
+            assert_eq!(e.id, expected, "ids must follow presentation order");
+            assert!(
+                EXPERIMENTS[..i].iter().all(|other| other.id != e.id),
+                "duplicate id {}",
+                e.id
+            );
+            assert!(!e.description.is_empty());
+            assert!(e.description.len() <= 60, "keep `list` one-line: {}", e.id);
         }
         assert_eq!(
-            describe("ext-preempt"),
-            Some("Preemptive execution via PR: deadlines, priority + EDF")
+            experiment("ext-preempt").map(|e| e.description),
+            Ok("Preemptive execution via PR: deadlines, priority + EDF")
         );
-        assert!(describe("no-such-id").is_none());
+        assert!(experiment("no-such-id").is_err());
     }
 }

@@ -11,10 +11,12 @@
 //! experiment's internal sweep.
 //!
 //! With `--trace DIR`, each experiment runs against a live metrics
-//! registry and writes `<id>.metrics.json` (counters, gauges, histogram
-//! summaries, spans) plus — for experiments with a representative
-//! timeline — `<id>.trace.json` in Chrome trace-event format, loadable
-//! in Perfetto or `chrome://tracing`.
+//! registry and causal journal and writes `<id>.metrics.json`
+//! (counters, gauges, histogram summaries, spans) and
+//! `<id>.journal.jsonl` (the run journal), plus — for experiments with
+//! a representative timeline — `<id>.trace.json` in Chrome trace-event
+//! format, loadable in Perfetto or `chrome://tracing`, and
+//! `<id>.attr.json` (its wall-clock attribution).
 //!
 //! Every run is crash-safe: a write-ahead manifest
 //! (`<run-id>.manifest.jsonl` under `--out`) records intent, per-point
@@ -29,8 +31,8 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 
 use hprc_ctx::ExecCtx;
+use hprc_exp::{Experiment, EXPERIMENTS};
 use hprc_obs::manifest::Manifest;
-use hprc_obs::Registry;
 
 fn usage() -> String {
     format!(
@@ -86,8 +88,8 @@ fn main() -> ExitCode {
         Some("journal") => return hprc_exp::journal_cli::journal_main(args.skip(1)),
         Some("resume") => return hprc_exp::recover::resume_main(args.skip(1)),
         Some("list") => {
-            for (id, description) in hprc_exp::EXPERIMENT_DESCRIPTIONS {
-                println!("{id:<16} {description}");
+            for e in &EXPERIMENTS {
+                println!("{:<16} {}", e.id, e.description);
             }
             return ExitCode::SUCCESS;
         }
@@ -166,20 +168,24 @@ fn main() -> ExitCode {
     }
     // Validate every id before running anything: a typo fails fast
     // instead of surfacing after minutes of earlier experiments.
-    let unknown: Vec<&String> = ids
-        .iter()
-        .filter(|id| !hprc_exp::ALL_EXPERIMENTS.contains(&id.as_str()))
-        .collect();
-    if !unknown.is_empty() {
-        for id in unknown {
-            eprintln!("unknown experiment: {id}");
+    let mut experiments: Vec<&Experiment> = Vec::with_capacity(ids.len());
+    let mut unknown = false;
+    for id in &ids {
+        match hprc_exp::experiment(id) {
+            Ok(e) => experiments.push(e),
+            Err(e) => {
+                eprintln!("{e}");
+                unknown = true;
+            }
         }
+    }
+    if unknown {
         eprintln!("\n{}", usage());
         return ExitCode::FAILURE;
     }
 
     // One context per experiment, all sharing the seed base so a run of
-    // `all` produces exactly the same artifacts as 22 single-id runs.
+    // `all` produces exactly the same artifacts as 24 single-id runs.
     // The jobs budget goes to whichever level can use it: across
     // experiments when several ids run, into the experiment's own sweep
     // runner when only one does. Each experiment gets its own registry
@@ -196,20 +202,7 @@ fn main() -> ExitCode {
     let contexts: Vec<ExecCtx> = ids
         .iter()
         .map(|id| {
-            ExecCtx::default()
-                .with_registry(if trace_dir.is_some() {
-                    Registry::new()
-                } else {
-                    Registry::noop()
-                })
-                .with_journal(if trace_dir.is_some() {
-                    hprc_obs::Journal::new(hprc_exp::journal_salt(id, seed))
-                } else {
-                    hprc_obs::Journal::noop()
-                })
-                .with_seed(seed)
-                .with_jobs(inner_jobs)
-                .with_delta(delta.clone())
+            hprc_exp::experiment_ctx(id, seed, inner_jobs, trace_dir.is_some(), delta.clone())
         })
         .collect();
 
@@ -241,12 +234,13 @@ fn main() -> ExitCode {
         return ExitCode::FAILURE;
     }
 
-    // Workers compute experiments in parallel; commits (render, seal,
-    // manifest) happen on this thread in id order, so output, artifacts
-    // and manifest seqs don't depend on the budget.
+    // Workers compute experiments and their artifacts in parallel;
+    // commits (print, seal, manifest) happen on this thread in id
+    // order, so output, artifacts and manifest seqs don't depend on the
+    // budget.
     let workers = jobs.min(ids.len()).max(1);
     let failures = match hprc_exp::recover::run_and_commit(
-        &ids,
+        &experiments,
         &contexts,
         workers,
         &out_dir,

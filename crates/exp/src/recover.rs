@@ -9,13 +9,13 @@
 //! announces, so after a crash the manifest tells resume exactly which
 //! points are salvageable.
 //!
-//! Workers still compute experiments in parallel (the same index
-//! dispenser as before), but *committing* — printing the report and
-//! sealing artifacts — happens on one thread in id order. That makes
-//! the manifest seq assignment deterministic at any `--jobs`, which is
-//! what lets `--crash-at SEQ` reproduce the identical on-disk state on
-//! every run, and resumed artifacts land byte-identical to an
-//! uninterrupted run.
+//! Workers compute experiments in parallel, each assembling every
+//! artifact of its point (see [`produce`]), but *committing* — printing
+//! the report and sealing artifacts — happens on one thread in id
+//! order. That makes the manifest seq assignment deterministic at any
+//! `--jobs`, which is what lets `--crash-at SEQ` reproduce the
+//! identical on-disk state on every run, and resumed artifacts land
+//! byte-identical to an uninterrupted run.
 //!
 //! Resume re-verifies every sealed artifact by CRC before salvaging:
 //! a `point-complete` entry alone is necessary but not sufficient —
@@ -33,8 +33,8 @@ use hprc_obs::artifact;
 use hprc_obs::manifest::{ArtifactDirKind, Manifest, MANIFEST_SCHEMA};
 use serde_json::Value;
 
-use crate::report::Report;
-use crate::ExpError;
+use crate::report::{series_csv_text, Report};
+use crate::{ExpError, Experiment};
 
 /// The manifest path for run id `run` under the out directory.
 pub fn manifest_path(out_dir: &Path, run: &str) -> PathBuf {
@@ -288,89 +288,85 @@ pub fn disposition(
 }
 
 /// One artifact's final bytes, staged before sealing.
-struct Blob {
-    dir: ArtifactDirKind,
-    name: String,
-    bytes: Vec<u8>,
+pub struct Blob {
+    /// The run directory it is sealed into.
+    pub dir: ArtifactDirKind,
+    /// File name within that directory.
+    pub name: String,
+    /// The artifact's bytes.
+    pub bytes: Vec<u8>,
 }
 
-/// Assembles every artifact of one completed experiment, in seal order:
-/// `<id>.json`, `<id>.csv`, then (with `--trace`) `<id>.trace.json`,
-/// `<id>.attr.json`, `<id>.metrics.json`, `<id>.journal.jsonl`.
-fn point_blobs(
-    id: &str,
-    report: &Report,
-    ctx: &ExecCtx,
-    trace: bool,
-) -> Result<Vec<Blob>, ExpError> {
-    let mut blobs = vec![Blob {
-        dir: ArtifactDirKind::Out,
-        name: format!("{id}.json"),
-        bytes: report.json_text().into_bytes(),
-    }];
-    if let Some(csv) = crate::series_text(id, ctx)? {
-        blobs.push(Blob {
-            dir: ArtifactDirKind::Out,
-            name: format!("{id}.csv"),
-            bytes: csv.into_bytes(),
-        });
+/// One executed experiment: its report and every artifact of its point,
+/// in seal order.
+pub struct Point {
+    /// The report the committer prints.
+    pub report: Report,
+    /// `<id>.json`, `<id>.csv`, then (traced) `<id>.trace.json`,
+    /// `<id>.attr.json`, `<id>.metrics.json`, `<id>.journal.jsonl`.
+    pub blobs: Vec<Blob>,
+}
+
+/// Runs one experiment once and assembles every artifact of its
+/// point: the report and its series from the run, then, when
+/// `traced`, the trace and attribution builders' artifacts, the
+/// metrics snapshot and the exported journal.
+pub fn produce(exp: &Experiment, ctx: &ExecCtx, traced: bool) -> Result<Point, ExpError> {
+    let blob = |dir, ext: &str, bytes: String| Blob {
+        dir,
+        name: format!("{}.{ext}", exp.id),
+        bytes: bytes.into_bytes(),
+    };
+    let (report, series) = exp.execute(ctx)?;
+    let mut blobs = vec![blob(ArtifactDirKind::Out, "json", report.json_text())];
+    if let Some(series) = series {
+        blobs.push(blob(ArtifactDirKind::Out, "csv", series_csv_text(&series)));
     }
-    if trace {
+    if traced {
+        let traced = |ext, bytes| blob(ArtifactDirKind::Trace, ext, bytes);
         // The trace export records its own accounting (e.g. truncation
         // warnings) into the live registry, so it must run before the
         // metrics snapshot for those counters to land in metrics.json.
-        if let Some(events) = crate::chrome_trace(id, ctx)? {
-            blobs.push(Blob {
-                dir: ArtifactDirKind::Trace,
-                name: format!("{id}.trace.json"),
-                bytes: serde_json::to_string(&events)?.into_bytes(),
-            });
+        if let Some(events) = exp.chrome_trace(ctx)? {
+            blobs.push(traced("trace.json", serde_json::to_string(&events)?));
         }
-        if let Some(attr) = crate::attribution(id, ctx) {
-            blobs.push(Blob {
-                dir: ArtifactDirKind::Trace,
-                name: format!("{id}.attr.json"),
-                bytes: serde_json::to_string_pretty(&attr)?.into_bytes(),
-            });
+        if let Some(attr) = exp.attribution(ctx) {
+            blobs.push(traced("attr.json", serde_json::to_string_pretty(&attr)?));
         }
-        blobs.push(Blob {
-            dir: ArtifactDirKind::Trace,
-            name: format!("{id}.metrics.json"),
-            bytes: serde_json::to_string_pretty(&ctx.registry.snapshot())?.into_bytes(),
-        });
-        blobs.push(Blob {
-            dir: ArtifactDirKind::Trace,
-            name: format!("{id}.journal.jsonl"),
-            bytes: ctx.journal.to_jsonl(id, ctx.seed).into_bytes(),
-        });
+        let metrics = serde_json::to_string_pretty(&ctx.registry.snapshot())?;
+        blobs.push(traced("metrics.json", metrics));
+        blobs.push(traced(
+            "journal.jsonl",
+            ctx.journal.to_jsonl(exp.id, ctx.seed),
+        ));
     }
-    Ok(blobs)
+    Ok(Point { report, blobs })
 }
 
-/// Commits one computed experiment: prints its report, logs
-/// `point-begin`, seals every artifact (logging `artifact-sealed`
-/// after each), and logs `point-complete` — withheld if any artifact
-/// failed, so resume re-executes the point. Returns the number of
-/// artifact-write failures; manifest-append failures are fatal (`Err`).
-fn commit_point(
+/// Commits one computed point: prints its report, logs `point-begin`,
+/// seals every artifact (logging `artifact-sealed` after each), and
+/// logs `point-complete` — withheld if any artifact failed, so resume
+/// re-executes the point. Returns the number of per-point failures (a
+/// failed computation, or each failed artifact write);
+/// manifest-append failures are fatal (`Err`).
+fn commit(
     id: &str,
-    report: &Report,
-    ctx: &ExecCtx,
+    result: Result<Point, ExpError>,
     out_dir: &Path,
     trace_dir: Option<&Path>,
     manifest: &mut Manifest,
 ) -> io::Result<usize> {
-    println!("{}\n", report.render());
-    manifest.point_begin(id)?;
-    let blobs = match point_blobs(id, report, ctx, trace_dir.is_some()) {
-        Ok(b) => b,
+    let point = match result {
+        Ok(point) => point,
         Err(e) => {
-            eprintln!("error: could not assemble {id} artifacts: {e}");
+            eprintln!("error: {id}: {e}");
             return Ok(1);
         }
     };
+    println!("{}\n", point.report.render());
+    manifest.point_begin(id)?;
     let mut errors = 0usize;
-    for blob in &blobs {
+    for blob in &point.blobs {
         let dir = match blob.dir {
             ArtifactDirKind::Out => out_dir,
             ArtifactDirKind::Trace => trace_dir.expect("trace blobs only exist with a trace dir"),
@@ -400,47 +396,41 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
         .unwrap_or_else(|| "non-string panic payload".to_string())
 }
 
-fn compute(id: &str, ctx: &ExecCtx) -> Result<Report, ExpError> {
-    // A panicking experiment must not wedge the committer (it waits on
-    // this slot) — convert panics into ordinary per-point errors.
-    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        crate::run_experiment(id, ctx)
-    }))
-    .unwrap_or_else(|p| Err(ExpError::Panicked(panic_message(p))))
+fn compute(exp: &Experiment, ctx: &ExecCtx, traced: bool) -> Result<Point, ExpError> {
+    // A panicking experiment or side-artifact builder must not wedge
+    // the committer (it waits on this slot) — convert panics into
+    // ordinary per-point errors.
+    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| produce(exp, ctx, traced)))
+        .unwrap_or_else(|p| Err(ExpError::Panicked(panic_message(p))))
 }
 
-/// Runs `ids[i]` under `contexts[i]` across `workers` threads and
-/// commits results **in id order** through the manifest. Returns the
-/// count of per-point failures (computation or artifact writes);
+/// Runs `experiments[i]` under `contexts[i]` across `workers` threads
+/// (each worker assembles its point's artifacts) and commits results
+/// **in id order** through the manifest. Returns the count of per-point
+/// failures (computation, artifact assembly or artifact writes);
 /// manifest-append failures are fatal.
 pub fn run_and_commit(
-    ids: &[String],
+    experiments: &[&Experiment],
     contexts: &[ExecCtx],
     workers: usize,
     out_dir: &Path,
     trace_dir: Option<&Path>,
     manifest: &mut Manifest,
 ) -> io::Result<usize> {
-    let n = ids.len();
-    let mut failures = 0usize;
+    let n = experiments.len();
+    let traced = trace_dir.is_some();
     if workers <= 1 || n <= 1 {
-        for (id, ctx) in ids.iter().zip(contexts) {
-            match compute(id, ctx) {
-                Ok(report) => {
-                    failures += commit_point(id, &report, ctx, out_dir, trace_dir, manifest)?
-                }
-                Err(e) => {
-                    eprintln!("error: {id}: {e}");
-                    failures += 1;
-                }
-            }
+        let mut failures = 0usize;
+        for (exp, ctx) in experiments.iter().zip(contexts) {
+            let result = compute(exp, ctx, traced);
+            failures += commit(exp.id, result, out_dir, trace_dir, manifest)?;
         }
         return Ok(failures);
     }
     // Workers fill slots out of order; this thread drains them in id
     // order, so seq assignment (and the committed set at any crash
     // point) is identical at any --jobs.
-    let slots: Mutex<Vec<Option<Result<Report, ExpError>>>> =
+    let slots: Mutex<Vec<Option<Result<Point, ExpError>>>> =
         Mutex::new((0..n).map(|_| None).collect());
     let ready = Condvar::new();
     let next = AtomicUsize::new(0);
@@ -451,7 +441,7 @@ pub fn run_and_commit(
                 if i >= n {
                     break;
                 }
-                let result = compute(&ids[i], &contexts[i]);
+                let result = compute(experiments[i], &contexts[i], traced);
                 slots.lock().expect("commit slots lock")[i] = Some(result);
                 ready.notify_all();
             });
@@ -467,16 +457,7 @@ pub fn run_and_commit(
                     guard = ready.wait(guard).expect("commit slots lock");
                 }
             };
-            match result {
-                Ok(report) => {
-                    failures +=
-                        commit_point(&ids[i], &report, &contexts[i], out_dir, trace_dir, manifest)?
-                }
-                Err(e) => {
-                    eprintln!("error: {}: {e}", ids[i]);
-                    failures += 1;
-                }
-            }
+            failures += commit(experiments[i].id, result, out_dir, trace_dir, manifest)?;
         }
         Ok(failures)
     })
@@ -615,6 +596,17 @@ pub fn resume_main(args: impl Iterator<Item = String>) -> ExitCode {
             }
         }
     }
+    let experiments = match redo
+        .iter()
+        .map(|id| crate::experiment(id))
+        .collect::<Result<Vec<_>, _>>()
+    {
+        Ok(experiments) => experiments,
+        Err(e) => {
+            eprintln!("error: {}: {e}", mpath.display());
+            return ExitCode::FAILURE;
+        }
+    };
     if redo.is_empty() && parsed.run_complete {
         println!(
             "nothing to do: run {run_id} is complete and all {} artifacts verify clean",
@@ -654,27 +646,12 @@ pub fn resume_main(args: impl Iterator<Item = String>) -> ExitCode {
     };
     let contexts: Vec<ExecCtx> = redo
         .iter()
-        .map(|id| {
-            ExecCtx::default()
-                .with_registry(if parsed.trace {
-                    hprc_obs::Registry::new()
-                } else {
-                    hprc_obs::Registry::noop()
-                })
-                .with_journal(if parsed.trace {
-                    hprc_obs::Journal::new(crate::journal_salt(id, parsed.seed))
-                } else {
-                    hprc_obs::Journal::noop()
-                })
-                .with_seed(parsed.seed)
-                .with_jobs(inner_jobs)
-                .with_delta(delta.clone())
-        })
+        .map(|id| crate::experiment_ctx(id, parsed.seed, inner_jobs, parsed.trace, delta.clone()))
         .collect();
 
     let workers = jobs.min(redo.len()).max(1);
     let failures = match run_and_commit(
-        &redo,
+        &experiments,
         &contexts,
         workers,
         &out_dir,
@@ -831,5 +808,64 @@ mod tests {
             "{d:?}"
         );
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_panicking_side_builder_fails_its_point_not_the_run() {
+        const BOOM: Experiment = Experiment {
+            id: "boom",
+            description: "panics in its trace builder",
+            run: crate::Run::Plain(|_| Ok(Report::new("boom", "Boom", String::new(), &0))),
+            trace: Some(|_, _| panic!("trace builder panicked")),
+            attribution: None,
+        };
+        let table2 = crate::experiment("table2").unwrap();
+        let experiments = [&BOOM, table2];
+        let ids: Vec<String> = experiments.iter().map(|e| e.id.to_string()).collect();
+        for workers in [1, 2] {
+            let dir = std::env::temp_dir().join(format!(
+                "hprc-recover-panic-{workers}-{}",
+                std::process::id()
+            ));
+            let (out, trace) = (dir.join("out"), dir.join("trace"));
+            std::fs::create_dir_all(&out).unwrap();
+            std::fs::create_dir_all(&trace).unwrap();
+            let contexts: Vec<ExecCtx> = ids
+                .iter()
+                .map(|id| crate::experiment_ctx(id, 0, 1, true, hprc_obs::DeltaCache::disabled()))
+                .collect();
+            let mpath = manifest_path(&out, "run");
+            let mut manifest = Manifest::create(&mpath, None).unwrap();
+            manifest.intent("run", &ids, 0, true).unwrap();
+            let failures = run_and_commit(
+                &experiments,
+                &contexts,
+                workers,
+                &out,
+                Some(&trace),
+                &mut manifest,
+            )
+            .unwrap();
+            assert_eq!(failures, 1, "workers {workers}");
+            let parsed = parse_manifest(&std::fs::read_to_string(&mpath).unwrap()).unwrap();
+            let sealed = &parsed.points["table2"];
+            assert!(sealed.complete, "workers {workers}: table2 must commit");
+            assert!(
+                sealed
+                    .sealed
+                    .iter()
+                    .any(|a| a.name == "table2.journal.jsonl"),
+                "workers {workers}: {sealed:?}"
+            );
+            assert_eq!(
+                disposition(Some(sealed), &out, Some(&trace)),
+                PointDisposition::Salvage
+            );
+            assert!(
+                parsed.points.get("boom").is_none_or(|p| !p.complete),
+                "workers {workers}: the panicking point must not complete"
+            );
+            std::fs::remove_dir_all(&dir).unwrap();
+        }
     }
 }

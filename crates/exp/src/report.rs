@@ -1,10 +1,6 @@
 //! Experiment reports: a rendered text body plus a machine-readable JSON
 //! payload persisted under `results/`.
 
-use std::fs;
-use std::io;
-use std::path::{Path, PathBuf};
-
 use serde::Serialize;
 
 /// One regenerated table/figure.
@@ -42,20 +38,15 @@ impl Report {
         format!("{}\n{}\n\n{}", self.title, bar, self.body)
     }
 
-    /// The exact bytes [`Report::write_json`] persists.
+    /// The exact bytes of the `<id>.json` artifact.
     pub fn json_text(&self) -> String {
         serde_json::to_string_pretty(&self.json).expect("report payload serializes")
     }
-
-    /// Atomically writes and seals `<dir>/<id>.json` (creating `dir`,
-    /// plus a `<id>.json.crc` sidecar) and returns the path.
-    pub fn write_json(&self, dir: &Path) -> io::Result<PathBuf> {
-        fs::create_dir_all(dir)?;
-        let path = dir.join(format!("{}.json", self.id));
-        hprc_obs::artifact::seal(&path, self.json_text().as_bytes())?;
-        Ok(path)
-    }
 }
+
+/// Labelled `(x, y)` curves: the `<id>.csv` artifact of an experiment
+/// that has one.
+pub type Series = Vec<(String, Vec<(f64, f64)>)>;
 
 /// Renders `(x, y)` series as CSV text, one row per labelled point
 /// (long format: `label,x,y`).
@@ -87,13 +78,10 @@ mod tests {
     }
 
     #[test]
-    fn writes_json_and_renders_csv() {
-        let dir = std::env::temp_dir().join(format!("hprc-exp-test-{}", std::process::id()));
+    fn renders_json_and_csv() {
         let r = Report::new("demo", "Demo", String::new(), &serde_json::json!([1, 2, 3]));
-        let p = r.write_json(&dir).unwrap();
-        assert!(p.exists());
+        assert_eq!(r.json_text(), "[\n  1,\n  2,\n  3\n]");
         let content = series_csv_text(&[("a".into(), vec![(1.0, 2.0), (3.0, 4.0)])]);
         assert!(content.contains("a,1,2"));
-        fs::remove_dir_all(dir).unwrap();
     }
 }

@@ -38,18 +38,19 @@ fn list_prints_one_line_per_experiment() {
     let lines: Vec<&str> = text.lines().collect();
     assert_eq!(
         lines.len(),
-        hprc_exp::ALL_EXPERIMENTS.len(),
+        hprc_exp::EXPERIMENTS.len(),
         "one line per experiment id:\n{text}"
     );
     // Lines lead with the ids, in presentation order, each followed by
     // its one-line description.
-    for (line, (id, description)) in lines.iter().zip(hprc_exp::EXPERIMENT_DESCRIPTIONS) {
+    for (line, e) in lines.iter().zip(&hprc_exp::EXPERIMENTS) {
+        let id = e.id;
         assert!(
             line.starts_with(id),
             "line should lead with {id:?}: {line:?}"
         );
         assert!(
-            line.ends_with(description),
+            line.ends_with(e.description),
             "line should end with the description for {id:?}: {line:?}"
         );
     }

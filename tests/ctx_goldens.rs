@@ -70,37 +70,29 @@ fn reports_are_identical_at_jobs_1_and_4() {
     }
 }
 
-/// The on-disk artifacts (report JSON + CSV series) must be
-/// byte-identical at any parallelism.
+/// The artifacts' bytes (report JSON + CSV series) must be identical
+/// at any parallelism.
 #[test]
 fn artifacts_are_byte_identical_at_jobs_1_and_4() {
-    let base = std::env::temp_dir().join(format!("hprc-ctx-goldens-{}", std::process::id()));
-    let write_all = |jobs: usize| {
-        let dir = base.join(format!("jobs{jobs}"));
-        std::fs::create_dir_all(&dir).unwrap();
+    let produce_all = |jobs: usize| {
         let ctx = ExecCtx::default().with_jobs(jobs);
+        let mut blobs = Vec::new();
         for id in ["fig9a", "fig5"] {
-            let report = run_experiment(id, &ctx).unwrap();
-            report.write_json(&dir).unwrap();
-            prtr_bounds::exp::write_series(id, &dir, &ctx).unwrap();
+            let exp = prtr_bounds::exp::experiment(id).unwrap();
+            let point = prtr_bounds::exp::recover::produce(exp, &ctx, false).unwrap();
+            blobs.extend(point.blobs.into_iter().map(|b| (b.name, b.bytes)));
         }
-        dir
+        blobs
     };
-    let d1 = write_all(1);
-    let d4 = write_all(4);
-    let mut names: Vec<String> = std::fs::read_dir(&d1)
-        .unwrap()
-        .map(|e| e.unwrap().file_name().into_string().unwrap())
-        .collect();
-    names.sort();
-    assert!(names.iter().any(|n| n.ends_with(".csv")));
-    assert!(names.iter().any(|n| n.ends_with(".json")));
-    for name in &names {
-        let a = std::fs::read(d1.join(name)).unwrap();
-        let b = std::fs::read(d4.join(name)).unwrap();
+    let serial = produce_all(1);
+    let parallel = produce_all(4);
+    assert!(serial.iter().any(|(n, _)| n.ends_with(".csv")));
+    assert!(serial.iter().any(|(n, _)| n.ends_with(".json")));
+    assert_eq!(serial.len(), parallel.len());
+    for ((name, a), (name4, b)) in serial.iter().zip(&parallel) {
+        assert_eq!(name, name4);
         assert_eq!(a, b, "{name} differs between --jobs 1 and --jobs 4");
     }
-    let _ = std::fs::remove_dir_all(&base);
 }
 
 /// The index-ordered registry merge must reproduce the serial
