@@ -142,14 +142,7 @@ pub fn run_with_series(panel: Panel, ctx: &ExecCtx) -> (Report, Series) {
     // Attribute the peak operating point under a silenced child context
     // (the sweep above already recorded its executor activity), then
     // export the attribution gauges into the experiment's registry.
-    let attribution = peak_attribution(
-        panel,
-        &ExecCtx {
-            registry: hprc_obs::Registry::noop(),
-            journal: hprc_obs::Journal::noop(),
-            ..ctx.clone()
-        },
-    );
+    let attribution = peak_attribution(panel, &crate::quiet(ctx));
     attribution.prtr.record(&ctx.registry, "exp.fig9.peak");
 
     let mut t = TextTable::new(vec![

@@ -323,22 +323,23 @@ pub fn produce(exp: &Experiment, ctx: &ExecCtx, traced: bool) -> Result<Point, E
         blobs.push(blob(ArtifactDirKind::Out, "csv", series_csv_text(&series)));
     }
     if traced {
-        let traced = |ext, bytes| blob(ArtifactDirKind::Trace, ext, bytes);
+        let trace_blob = |ext, bytes| blob(ArtifactDirKind::Trace, ext, bytes);
         // The trace export records its own accounting (e.g. truncation
         // warnings) into the live registry, so it must run before the
         // metrics snapshot for those counters to land in metrics.json.
         if let Some(events) = exp.chrome_trace(ctx)? {
-            blobs.push(traced("trace.json", serde_json::to_string(&events)?));
+            blobs.push(trace_blob("trace.json", serde_json::to_string(&events)?));
         }
         if let Some(attr) = exp.attribution(ctx) {
-            blobs.push(traced("attr.json", serde_json::to_string_pretty(&attr)?));
+            blobs.push(trace_blob(
+                "attr.json",
+                serde_json::to_string_pretty(&attr)?,
+            ));
         }
         let metrics = serde_json::to_string_pretty(&ctx.registry.snapshot())?;
-        blobs.push(traced("metrics.json", metrics));
-        blobs.push(traced(
-            "journal.jsonl",
-            ctx.journal.to_jsonl(exp.id, ctx.seed),
-        ));
+        blobs.push(trace_blob("metrics.json", metrics));
+        let journal = ctx.journal.to_jsonl(exp.id, ctx.seed);
+        blobs.push(trace_blob("journal.jsonl", journal));
     }
     Ok(Point { report, blobs })
 }
