@@ -1,9 +1,13 @@
 //! `hprc-exp journal` — analysis subcommands for the causal run
-//! journals (`<id>.journal.jsonl`) that `--trace` writes.
+//! journals (`<id>.journal.jsonl`, `hprc-journal/v2`) that `--trace`
+//! writes.
 //!
 //! * `summarize FILE` — per-class span time, top spans, flow-kind
 //!   counts, fault-chain count, metric totals, and the resource
-//!   accounting footer, as a human-readable report.
+//!   accounting footer, as a human-readable report. Counts include
+//!   every copy a `repeat` line stands for.
+//! * `expand FILE` — the longhand `hprc-journal/v1` bytes on stdout:
+//!   every `repeat` line written out as its copies.
 //! * `diff A B` — first divergent line between two journals (exit 0
 //!   when byte-identical, 1 otherwise). Because journals are
 //!   deterministic, this is the canonical `--jobs` invariance check.
@@ -12,6 +16,7 @@
 //!   regenerated journal is byte-identical to the file.
 
 use std::collections::HashMap;
+use std::io::Write as _;
 use std::path::Path;
 use std::process::ExitCode;
 
@@ -27,9 +32,9 @@ struct Parsed {
     account: Option<Value>,
 }
 
-fn parse(text: &str) -> Result<Parsed, String> {
-    let mut lines = text.lines().enumerate();
-    let (_, header) = lines.next().ok_or("empty journal")?;
+/// The `(schema, experiment, seed)` header of a journal.
+fn header(text: &str) -> Result<(String, String, u64), String> {
+    let header = text.lines().next().ok_or("empty journal")?;
     let header: Value =
         serde_json::from_str(header).map_err(|e| format!("line 1: bad header: {e}"))?;
     let schema = header["schema"]
@@ -47,9 +52,17 @@ fn parse(text: &str) -> Result<Parsed, String> {
         .ok_or("header missing \"experiment\"")?
         .to_string();
     let seed = header["seed"].as_u64().ok_or("header missing \"seed\"")?;
+    Ok((schema, experiment, seed))
+}
+
+/// Parses a journal with every `repeat` line expanded, so the records
+/// are the longhand ones.
+fn parse(text: &str) -> Result<Parsed, String> {
+    let (schema, experiment, seed) = header(text)?;
+    let longhand = hprc_obs::expand_jsonl(text)?;
     let mut records = Vec::new();
     let mut account = None;
-    for (i, line) in lines {
+    for (i, line) in longhand.lines().enumerate().skip(1) {
         let v: Value = serde_json::from_str(line).map_err(|e| format!("line {}: {e}", i + 1))?;
         if v.get("account").is_some() {
             account = Some(v["account"].clone());
@@ -258,17 +271,24 @@ fn diff(path_a: &str, path_b: &str) -> Result<bool, String> {
     }
 }
 
+/// Writes the longhand (`hprc-journal/v1`) bytes of one journal to
+/// stdout.
+fn expand(path: &str) -> Result<(), String> {
+    let longhand = hprc_obs::expand_jsonl(&read(path)?)?;
+    std::io::stdout()
+        .lock()
+        .write_all(longhand.as_bytes())
+        .map_err(|e| format!("stdout: {e}"))
+}
+
 fn replay_check(path: &str, jobs: usize) -> Result<bool, String> {
     let text = read(path)?;
-    let p = parse(&text)?;
+    let (_, experiment, seed) = header(&text)?;
     let regenerated =
-        crate::run_journaled(&p.experiment, p.seed, jobs).map_err(|e| format!("{path}: {e}"))?;
+        crate::run_journaled(&experiment, seed, jobs).map_err(|e| format!("{path}: {e}"))?;
     match first_divergence(&text, &regenerated) {
         None => {
-            println!(
-                "replay-check ok: {path} ({} @ seed {}, jobs {jobs})",
-                p.experiment, p.seed
-            );
+            println!("replay-check ok: {path} ({experiment} @ seed {seed}, jobs {jobs})");
             Ok(true)
         }
         Some((line, on_disk, regen)) => {
@@ -282,11 +302,14 @@ fn replay_check(path: &str, jobs: usize) -> Result<bool, String> {
 
 fn usage() -> &'static str {
     "usage: hprc-exp journal summarize FILE\n\
+     \x20      hprc-exp journal expand FILE\n\
      \x20      hprc-exp journal diff A B\n\
      \x20      hprc-exp journal replay-check [--jobs N] FILE...\n\
      \n\
      summarize     per-class span time, top spans, flow kinds, fault chains,\n\
      \x20             metric totals, and the accounting footer of one journal\n\
+     expand        write a journal's longhand hprc-journal/v1 bytes to stdout,\n\
+     \x20             every repeat line written out as its copies\n\
      diff          compare two journals line-by-line; exit 1 on the first\n\
      \x20             divergence (journals are deterministic, so byte equality\n\
      \x20             is the expected outcome at any --jobs)\n\
@@ -327,6 +350,19 @@ pub fn journal_main(args: impl Iterator<Item = String>) -> ExitCode {
                 ExitCode::FAILURE
             } else {
                 ExitCode::SUCCESS
+            }
+        }
+        "expand" => {
+            let [file] = &args[1..] else {
+                eprintln!("expand requires exactly one FILE\n\n{}", usage());
+                return ExitCode::FAILURE;
+            };
+            match expand(file) {
+                Ok(()) => ExitCode::SUCCESS,
+                Err(e) => {
+                    eprintln!("error: {e}");
+                    ExitCode::FAILURE
+                }
             }
         }
         "diff" => {
@@ -422,8 +458,27 @@ mod tests {
     }
 
     #[test]
+    fn parse_counts_every_copy_of_a_repeat() {
+        let j = hprc_obs::Journal::new(5);
+        let m = j.mark();
+        let call = j.open("task0", None, 10, 0);
+        j.close(call, 20);
+        j.replay_cycle(m, 3, 10);
+        let text = j.to_jsonl("jumps", 1);
+        assert_eq!(text.lines().count(), 5, "header, 2 records, repeat, footer");
+        let p = parse(&text).unwrap();
+        assert_eq!(p.records.len(), 8);
+        assert_eq!(p.records[7]["t_ns"].as_u64(), Some(50));
+        assert_eq!(p.account.unwrap()["events"].as_u64(), Some(8));
+    }
+
+    #[test]
     fn parse_rejects_schema_drift() {
-        let text = sample().replacen("hprc-journal/v1", "hprc-journal/v0", 1);
+        let text = sample().replacen(hprc_obs::JOURNAL_SCHEMA, "hprc-journal/v0", 1);
+        let err = parse(&text).unwrap_err();
+        assert!(err.contains("schema mismatch"), "{err}");
+        // The longhand schema is a foreign one too: only v2 is read.
+        let text = sample().replacen(hprc_obs::JOURNAL_SCHEMA, "hprc-journal/v1", 1);
         let err = parse(&text).unwrap_err();
         assert!(err.contains("schema mismatch"), "{err}");
     }

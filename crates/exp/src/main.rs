@@ -40,7 +40,7 @@ fn usage() -> String {
          \x20               [--run-id ID] [--crash-at SEQ] [all | id...]\n\
          \x20      hprc-exp resume RUN_ID [--out DIR] [--trace DIR] [--jobs N]\n\
          \x20      hprc-exp list\n\
-         \x20      hprc-exp journal [summarize FILE | diff A B |\n\
+         \x20      hprc-exp journal [summarize FILE | expand FILE | diff A B |\n\
          \x20                        replay-check [--jobs N] FILE...]\n\
          \n\
          --out DIR    write reports and CSV artifacts under DIR (default: results)\n\
@@ -65,7 +65,8 @@ fn usage() -> String {
          list: print every experiment id with a one-line description.\n\
          \n\
          journal: analyze the causal run journals --trace writes — summarize one,\n\
-         diff two (first divergent line; exit 1 on divergence), or replay-check:\n\
+         expand one to its longhand hprc-journal/v1 bytes on stdout, diff two\n\
+         (first divergent line; exit 1 on divergence), or replay-check:\n\
          re-run each journal's experiment from its recorded (experiment, seed)\n\
          header and require byte-identical regeneration.\n\
          \n\

@@ -214,6 +214,18 @@ fn journal_cli_replay_check_diff_and_usage() {
     assert!(text.contains("experiment profiles"));
     assert!(text.contains("per-class span time"));
 
+    // expand writes the longhand bytes: the committed golden.
+    let out = Command::new(exe())
+        .args(["journal", "expand"])
+        .arg(&jpath)
+        .output()
+        .expect("run expand");
+    assert!(out.status.success());
+    assert_eq!(
+        String::from_utf8_lossy(&out.stdout),
+        include_str!("golden/profiles.journal.jsonl")
+    );
+
     // journal with no/unknown subcommand fails with usage.
     let out = Command::new(exe()).arg("journal").output().expect("run");
     assert!(!out.status.success());
@@ -223,6 +235,36 @@ fn journal_cli_replay_check_diff_and_usage() {
     let out = Command::new(exe()).arg("--help").output().expect("run");
     assert!(String::from_utf8_lossy(&out.stdout).contains("journal"));
 
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A malformed v2 journal is an error naming the line, never a panic:
+/// `summarize` and `expand` both exit 1 with `error: line N: …`.
+#[test]
+fn journal_cli_rejects_a_malformed_repeat_with_its_line() {
+    let dir = tmp_dir("journal-malformed");
+    run_fig9a_trace(&dir, "1");
+    let text = std::fs::read_to_string(dir.join("fig9a.journal.jsonl")).unwrap();
+    let (n, line) = text
+        .lines()
+        .enumerate()
+        .find(|(_, l)| l.starts_with(r#"{"ev":"repeat","#))
+        .expect("fig9a's sweep jumps");
+    let forged = line.replacen(r#""times":"#, r#""times":1000000000000"#, 1);
+    let bad = dir.join("bad.journal.jsonl");
+    std::fs::write(&bad, text.replacen(line, &forged, 1)).unwrap();
+    for cmd in ["summarize", "expand"] {
+        let out = Command::new(exe())
+            .args(["journal", cmd])
+            .arg(&bad)
+            .output()
+            .expect("run journal");
+        assert_eq!(out.status.code(), Some(1), "{cmd} must fail");
+        let err = String::from_utf8_lossy(&out.stderr);
+        let want = format!("error: line {}: repeat expands past", n + 1);
+        assert!(err.starts_with(&want), "{cmd}: {err}");
+        assert!(out.stdout.is_empty(), "{cmd} printed before failing");
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -51,7 +51,7 @@ pub use budget::{BudgetAccount, RunBudget};
 pub use chrome::ChromeEvent;
 pub use delta::{DeltaAccount, DeltaCache, DEFAULT_DELTA_BYTES};
 pub use fleet::FleetTopology;
-pub use journal::{Journal, JournalMark, JournalRecord, SpanId, JOURNAL_SCHEMA};
+pub use journal::{expand_jsonl, Journal, JournalMark, JournalRecord, SpanId, JOURNAL_SCHEMA};
 pub use manifest::{ArtifactDirKind, Manifest, MANIFEST_SCHEMA};
 pub use metrics::{Counter, Gauge, Histogram, HistogramSummary};
 pub use registry::{Registry, Snapshot};

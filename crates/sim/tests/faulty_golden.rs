@@ -72,7 +72,8 @@ fn scenario(node: &NodeConfig, plan: &FaultPlan) -> (FaultyOutcome, Vec<PrtrCall
 }
 
 /// Runs `exec` with a live journal and registry; returns the report,
-/// the journal's JSONL export and the counters.
+/// the journal's export expanded to its longhand bytes, and the
+/// counters.
 fn journaled(
     name: &str,
     exec: impl FnOnce(&ExecCtx) -> ExecutionReport,
@@ -81,7 +82,7 @@ fn journaled(
         .with_journal(Journal::new(0x601D))
         .with_registry(Registry::new());
     let report = exec(&ctx);
-    let jsonl = ctx.journal.to_jsonl(name, 0);
+    let jsonl = hprc_obs::expand_jsonl(&ctx.journal.to_jsonl(name, 0)).expect("an export expands");
     (report, jsonl, ctx.registry.snapshot().counters)
 }
 

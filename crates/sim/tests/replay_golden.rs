@@ -1,11 +1,12 @@
 //! Golden for a steady-state run whose journal is mostly fast-path
 //! replay: a noise-free three-stage loop scheduled by `simulate` under
 //! `AlwaysMiss`, then executed by `run_prtr` and `run_frtr`, all under
-//! one live journal. The committed journal pins the `sched.simulate`
-//! span, its `sched.*` metric lines and both executors' replayed
-//! periods byte for byte. `journal replay-check` regenerates with the
+//! one live journal. The committed longhand (`hprc-journal/v1`) journal
+//! pins the `sched.simulate` span, its `sched.*` metric lines and both
+//! executors' replayed periods byte for byte: the export's `repeat`
+//! lines must expand to it. `journal replay-check` regenerates with the
 //! same binary, so only a committed golden catches a change to replay
-//! remapping or JSONL export that stays self-consistent.
+//! remapping, expansion or JSONL export that stays self-consistent.
 
 use hprc_ctx::{ExecCtx, Symbol};
 use hprc_fpga::floorplan::Floorplan;
@@ -43,7 +44,8 @@ fn reference(node: &NodeConfig, calls: &[PrtrCall], ctx: &ExecCtx) -> ExecutionR
 
 /// Schedules 48 calls of a noise-free three-stage loop on two PRRs
 /// under `AlwaysMiss` and hands them to `exec`, all under `journal`.
-/// Returns the PRTR report and the journal's JSONL export.
+/// Returns the PRTR report and the journal's export, expanded to its
+/// longhand (`hprc-journal/v1`) bytes.
 fn journaled(journal: Journal, exec: Executor) -> (ExecutionReport, String) {
     let node = node();
     let ctx = ExecCtx::default()
@@ -74,7 +76,9 @@ fn journaled(journal: Journal, exec: Executor) -> (ExecutionReport, String) {
         })
         .collect();
     let report = exec(&node, &calls, &ctx);
-    (report, ctx.journal.to_jsonl("steady_state", 0))
+    let text = ctx.journal.to_jsonl("steady_state", 0);
+    let longhand = hprc_obs::expand_jsonl(&text).expect("an export expands");
+    (report, longhand)
 }
 
 /// Compares a journal with its golden; on drift, writes the new bytes
