@@ -88,10 +88,11 @@ impl Histogram {
     /// acquisition. Non-finite samples are dropped, exactly as
     /// [`Histogram::record`] would drop them.
     ///
-    /// This is the bulk-recording hook for steady-state fast paths: a
-    /// periodic simulation that jumps `times` repetitions of a block
-    /// must still report the block's per-call samples `times` times so
-    /// digests stay bit-identical to the per-call reference path.
+    /// Its callers: the `sim` executors record each run's per-call
+    /// latencies (and an armed run's recovery samples) once after the
+    /// loop with `times = 1`, one lock per run instead of per sample;
+    /// `CrayConfigApi::record_repeated` replays the vendor API's
+    /// `busy_s` sample for the calls a steady-state jump elided.
     pub fn record_cycle(&self, samples: &[f64], times: u64) {
         let Some(cell) = &self.0 else {
             return;

@@ -29,27 +29,26 @@
 //!
 //! # Steady-state fast path
 //!
-//! The per-call recurrence of both executors is a deterministic function
-//! of (a) the call's own parameters and (b) a tiny relative carry-over
-//! state, and both are *time-translation invariant*: shifting the inputs
-//! by Δ shifts every produced event by Δ. [`run_frtr`] and [`run_prtr`]
-//! exploit this. They simulate per-call (the reference recurrence,
-//! verbatim) while remembering, for each `(call key, relative state)`
-//! pair, where that situation was last seen. When the pair recurs after
-//! `p` calls, the executor key-compares forward as many whole periods as
-//! actually repeat and replaces them with a closed-form jump: one
-//! run-length-encoded timeline block ([`Timeline::push_repeat`]), shifted
-//! copies of the period's [`CallTiming`]s, bulk counter adds, and bulk
-//! histogram sample replication ([`hprc_obs::Histogram::record_cycle`]).
-//! Every total, per-call timing, metric, and expanded timeline event is
-//! **bit-identical** to the per-call path — the jump only elides work
-//! whose outcome is already proven, and all floating-point derivation
-//! downstream happens on the expanded event stream in original order.
-//! Aperiodic stretches (e.g. the dithered hit patterns of the validation
-//! experiment) simply keep simulating per-call; detection re-arms after
-//! every jump, so a sequence with several periodic runs jumps several
-//! times. [`run_frtr_reference`] and [`run_prtr_reference`] expose the
-//! pure per-call path as the equivalence oracle.
+//! [`run_frtr`] and [`run_prtr`] simulate per call (the reference
+//! recurrence, verbatim) and hand each call to the crate's one
+//! steady-state fast path (`fast::FastPath`) first. It jumps whole
+//! periods that provably repeat, anchored at `now` under FRTR and at the
+//! previous call's `exec_start` under PRTR, whose carry-over state
+//! (`RelState`) is relative to that anchor. Aperiodic stretches (e.g.
+//! the dithered hit patterns of the validation experiment) simply keep
+//! simulating per call. [`run_frtr_reference`] and
+//! [`run_prtr_reference`] expose the pure per-call path as the
+//! equivalence oracle.
+//!
+//! # Metrics
+//!
+//! The per-call loop writes only the timeline, the journal and the
+//! timings. Each executor records its counters, its latency histogram
+//! and, under an armed plan, its `*.fault.*` bundle once after the loop,
+//! from the calls, the fates and the finished timings, so a jump needs no
+//! metric bookkeeping of its own. All floating-point derivation happens
+//! on per-call values in original order, which keeps every metric
+//! bit-identical between the fast and the per-call path.
 //!
 //! # Faults
 //!
@@ -68,6 +67,7 @@ use hprc_obs::SpanId;
 use serde::{Deserialize, Serialize};
 
 use crate::error::SimError;
+use crate::fast::FastPath;
 use crate::node::NodeConfig;
 use crate::task::{PrtrCall, TaskCall};
 use crate::time::{SimDuration, SimTime};
@@ -165,38 +165,6 @@ struct RelState {
     prev_bytes_in: u64,
 }
 
-/// Where a `(key, state)` pair was last seen: enough to locate the
-/// candidate period's calls, events, and timings. Shared with the
-/// preemptive renderer ([`crate::preempt`]).
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct SeenAt {
-    /// Call index about to be processed when the pair was recorded.
-    pub(crate) i0: usize,
-    /// The time anchor at that point (`now` for FRTR, `prev_start` for
-    /// PRTR); the per-period shift is `anchor_now − anchor_then`.
-    pub(crate) anchor: SimTime,
-    /// `timeline.n_items()` at that point.
-    pub(crate) items_marker: usize,
-    /// `timings.len()` at that point.
-    pub(crate) timings_marker: usize,
-    /// The journal position at that point (for
-    /// [`hprc_obs::Journal::replay_cycle`]).
-    pub(crate) jmark: hprc_obs::JournalMark,
-}
-
-/// Key-compares forward from call `j`: how many whole periods of length
-/// `p` (the keys at `i0..i0+p`) repeat verbatim before the sequence
-/// diverges or ends. Runs in O(verified calls) and fails at the first
-/// mismatching key.
-pub(crate) fn verified_periods<K: PartialEq>(keys: &[K], i0: usize, p: usize, mut j: usize) -> u64 {
-    let mut m = 0u64;
-    while j + p <= keys.len() && (0..p).all(|k| keys[j + k] == keys[i0 + k]) {
-        m += 1;
-        j += p;
-    }
-    m
-}
-
 /// Memoized derived event labels. Slow-path calls label their timeline
 /// events with strings derived from the (already interned) task name —
 /// `"ctl:<name>"`, `"cfg:<name>@PRR<slot>"`, … — and formatting plus
@@ -234,64 +202,72 @@ impl LabelCache {
     }
 }
 
-/// The fault/recovery counter bundle of one faulty run, registered
-/// under `{prefix}.fault.*`. Only created when a plan is armed, so
-/// fault-free runs keep their metric snapshots byte-identical.
-struct FaultMetrics {
-    injected: hprc_obs::Counter,
-    crc: hprc_obs::Counter,
-    icap_timeout: hprc_obs::Counter,
-    activation: hprc_obs::Counter,
-    api_transfer: hprc_obs::Counter,
-    retries: hprc_obs::Counter,
-    escalations: hprc_obs::Counter,
-    forced_full: hprc_obs::Counter,
-    drops: hprc_obs::Counter,
-    escalated_full_configs: hprc_obs::Counter,
-    recovery_s: hprc_obs::Histogram,
+/// Records an armed run's `{prefix}.fault.*` bundle: sums over the
+/// faulty calls' fates, and a `recovery_s` sample per faulty call, its
+/// configuration window beyond the clean configuration time `clean_s`.
+/// Disarmed runs record none of it, so fault-free runs keep their metric
+/// snapshots byte-identical.
+fn record_fault_metrics(
+    registry: &hprc_obs::Registry,
+    prefix: &str,
+    fates: &[CallFate],
+    timings: &[CallTiming],
+    clean_s: f64,
+) {
+    let faulty: Vec<(&CallFate, &CallTiming)> = fates
+        .iter()
+        .zip(timings)
+        .filter(|(f, _)| !f.is_clean())
+        .collect();
+    let sum = |f: fn(&CallFate) -> u64| faulty.iter().map(|&(fate, _)| f(fate)).sum::<u64>();
+    for (name, n) in [
+        ("injected", sum(CallFate::injected)),
+        ("crc", sum(|f| f.crc_refetches.into())),
+        ("icap_timeout", sum(|f| f.icap_timeouts.into())),
+        ("activation", sum(|f| f.activation_fails.into())),
+        ("api_transfer", sum(|f| f.api_fails.into())),
+        ("retries", sum(CallFate::retries)),
+        ("escalations", sum(|f| f.escalated.into())),
+        ("forced_full", sum(|f| f.forced_full.into())),
+        ("drops", sum(|f| f.dropped.into())),
+        (
+            "escalated_full_configs",
+            sum(|f| (!f.dropped && (f.escalated || f.forced_full)).into()),
+        ),
+    ] {
+        registry.counter(&format!("{prefix}.fault.{name}")).add(n);
+    }
+    let recovery_s: Vec<f64> = faulty
+        .iter()
+        .map(|(_, t)| {
+            let (cs, ce) = t
+                .config_start
+                .zip(t.config_end)
+                .expect("a faulty call configures");
+            (ce - cs).as_secs_f64() - clean_s
+        })
+        .collect();
+    registry
+        .histogram(&format!("{prefix}.fault.recovery_s"))
+        .record_cycle(&recovery_s, 1);
 }
 
-impl FaultMetrics {
-    fn new(registry: &hprc_obs::Registry, prefix: &str) -> Self {
-        let c = |name: &str| registry.counter(&format!("{prefix}.fault.{name}"));
-        FaultMetrics {
-            injected: c("injected"),
-            crc: c("crc"),
-            icap_timeout: c("icap_timeout"),
-            activation: c("activation"),
-            api_transfer: c("api_transfer"),
-            retries: c("retries"),
-            escalations: c("escalations"),
-            forced_full: c("forced_full"),
-            drops: c("drops"),
-            escalated_full_configs: c("escalated_full_configs"),
-            recovery_s: registry.histogram(&format!("{prefix}.fault.recovery_s")),
-        }
-    }
-
-    /// Records one faulty call's fate; `recovery_extra_s` is the
-    /// chain's wall-clock beyond what the clean configuration would
-    /// have cost (the retry-latency histogram sample).
-    fn record(&self, fate: &CallFate, recovery_extra_s: f64) {
-        self.injected.add(fate.injected());
-        self.crc.add(fate.crc_refetches as u64);
-        self.icap_timeout.add(fate.icap_timeouts as u64);
-        self.activation.add(fate.activation_fails as u64);
-        self.api_transfer.add(fate.api_fails as u64);
-        self.retries.add(fate.retries());
-        if fate.escalated {
-            self.escalations.inc();
-        }
-        if fate.forced_full {
-            self.forced_full.inc();
-        }
-        if fate.dropped {
-            self.drops.inc();
-        } else if fate.escalated || fate.forced_full {
-            self.escalated_full_configs.inc();
-        }
-        self.recovery_s.record(recovery_extra_s);
-    }
+/// Each call's marginal latency: its completion minus the previous
+/// call's (t = 0 before the first), clamped at zero because the
+/// preemptive renderer's execution windows on different PRRs may
+/// overlap (a later dispatch can finish before an earlier long-running
+/// one). In steady state this is the model's per-call increment, e.g.
+/// `max(T_task + T_decision, T_PRTR) + T_control` for a PRTR miss.
+pub(crate) fn marginal_latencies_s(timings: &[CallTiming]) -> Vec<f64> {
+    let mut prev = SimTime::ZERO;
+    timings
+        .iter()
+        .map(|t| {
+            let d = t.exec_end.max(prev) - prev;
+            prev = t.exec_end;
+            d.as_secs_f64()
+        })
+        .collect()
 }
 
 /// Pending outgoing flow link while laying out a recovery chain: the
@@ -552,109 +528,45 @@ fn run_frtr_impl(
     let tid_host = Lane::Host.chrome_tid();
     let tid_cfg = Lane::ConfigPort.chrome_tid();
     let jrun = j.enter("sim.run_frtr", 0, tid_host);
-    let m_calls = registry.counter("sim.frtr.calls");
-    let m_configs = registry.counter("sim.frtr.full_configs");
-    let m_latency = registry.histogram("sim.frtr.call_latency_s");
 
     let t_control = SimDuration::from_secs_f64(node.control_overhead_s);
     let full_bytes = node.full_config.full_bitstream_bytes;
 
     // An armed plan pre-derives every call's fate (a pure function of
     // the plan); under a disarmed one every call is clean.
-    let armed = plan.armed();
-    let fates: Vec<CallFate> = if armed {
+    let fates: Vec<CallFate> = if plan.armed() {
         (0..calls.len()).map(|i| plan.full_fate(i as u64)).collect()
     } else {
         Vec::new()
     };
     let fate_of = |i: usize| fates.get(i).copied().unwrap_or_else(CallFate::clean_full);
-    let fm = armed.then(|| FaultMetrics::new(registry, "sim.frtr"));
-    let t_frtr_clean_s = node.full_config.full_configuration_time_s();
-
-    // Keys carry a salt: 0 for fault-free fates, a unique per-index
-    // value for faulty ones — so a faulty call never key-matches and no
-    // proven period can span a fault. Jumps stay confined to clean
-    // stretches, where the recurrence is untouched.
-    let keys: Vec<(FrtrKey, u64)> = if enable_jump {
-        calls
-            .iter()
-            .enumerate()
-            .map(|(i, c)| {
-                let salt = if fate_of(i).is_clean() {
-                    0
-                } else {
-                    i as u64 + 1
-                };
-                (
-                    FrtrKey {
-                        name: c.name,
-                        bytes_in: c.bytes_in,
-                        bytes_out: c.bytes_out,
-                    },
-                    salt,
-                )
-            })
-            .collect()
-    } else {
-        Vec::new()
-    };
-    let mut seen: HashMap<(FrtrKey, u64), SeenAt> = HashMap::new();
-    let mut n_dropped = 0u64;
+    let mut fast: FastPath<FrtrKey> = FastPath::new(
+        enable_jump,
+        calls.len(),
+        |i| FrtrKey {
+            name: calls[i].name,
+            bytes_in: calls[i].bytes_in,
+            bytes_out: calls[i].bytes_out,
+        },
+        |i| fate_of(i).is_clean(),
+    );
 
     let mut now = SimTime::ZERO;
     let mut timeline = Timeline::default();
     let mut labels = LabelCache::default();
     let mut timings: Vec<CallTiming> = Vec::with_capacity(calls.len());
     // The vendor call's duration is a function of the node alone; keep
-    // the last proven one for bulk accounting at a jump.
+    // the last proven one for the API's own accounting at a jump.
     let mut last_api_d = SimDuration::ZERO;
 
     let mut i = 0usize;
     while i < calls.len() {
-        if enable_jump {
-            if let Some(at) = seen.get(&keys[i]).copied() {
-                let p = i - at.i0;
-                let m = verified_periods(&keys, at.i0, p, i);
-                if m >= 1 {
-                    // Jump m whole periods: calls i .. i + m·p repeat the
-                    // proven block, each period shifted one more Δ.
-                    let delta = now.0 - at.anchor.0;
-                    let pattern = timeline.split_off_events(at.items_marker);
-                    timeline.push_repeat(pattern, m + 1, SimDuration(delta));
-                    let latencies: Vec<f64> = timings[at.timings_marker..]
-                        .iter()
-                        .map(|t| {
-                            (t.exec_end - t.config_start.expect("FRTR always configures"))
-                                .as_secs_f64()
-                        })
-                        .collect();
-                    let block = timings[at.timings_marker..].to_vec();
-                    for k in 1..=m {
-                        timings.extend(block.iter().map(|t| t.shifted(k * delta)));
-                    }
-                    let jumped = m * p as u64;
-                    m_calls.add(jumped);
-                    m_configs.add(jumped);
-                    m_latency.record_cycle(&latencies, m);
-                    node.full_config.record_repeated(last_api_d, jumped, ctx);
-                    j.replay_cycle(at.jmark, m, delta);
-                    now = SimTime(now.0 + m * delta);
-                    i += m as usize * p;
-                    // Re-arm: the tail may hold further periodic runs.
-                    seen.clear();
-                    continue;
-                }
-            }
-            seen.insert(
-                keys[i],
-                SeenAt {
-                    i0: i,
-                    anchor: now,
-                    items_marker: timeline.n_items(),
-                    timings_marker: timings.len(),
-                    jmark: j.mark(),
-                },
-            );
+        if let Some(jump) = fast.jump(i, (), now, &mut timeline, &mut timings, j) {
+            node.full_config
+                .record_repeated(last_api_d, jump.calls as u64, ctx);
+            now = SimTime(now.0 + jump.shift_ns);
+            i += jump.calls;
+            continue;
         }
 
         let call = &calls[i];
@@ -699,20 +611,14 @@ fn run_frtr_impl(
                     jcall,
                     &mut jchain,
                 )?;
-                if let Some(fm) = &fm {
-                    fm.record(&fate, (ce - cs).as_secs_f64() - t_frtr_clean_s);
-                }
                 (ce, jchain.map(|(id, _)| id))
             }
         };
-        m_calls.inc();
         let (exec_start, exec_end) = if fate.dropped {
             // The call never ran: zero-length execution window at the
             // chain's end, no control transfer, no data.
-            n_dropped += 1;
             (ce, ce)
         } else {
-            m_configs.inc();
             let (exec_start, exec_end) =
                 push_exec_events(&mut timeline, &mut labels, node, call, 0, ce, t_control);
             let jexec = j.event("execute", jcall, exec_start.0, Lane::Prr(0).chrome_tid());
@@ -728,17 +634,34 @@ fn run_frtr_impl(
             exec_start,
             exec_end,
         });
-        m_latency.record((exec_end - cs).as_secs_f64());
         now = exec_end;
         i += 1;
     }
     j.exit(jrun, now.0);
+
+    let n_dropped = fates.iter().filter(|f| f.dropped).count() as u64;
+    let n_config = calls.len() as u64 - n_dropped;
+    if registry.is_enabled() {
+        registry.counter("sim.frtr.calls").add(calls.len() as u64);
+        registry.counter("sim.frtr.full_configs").add(n_config);
+        let latencies: Vec<f64> = timings
+            .iter()
+            .map(|t| (t.exec_end - t.config_start.expect("FRTR always configures")).as_secs_f64())
+            .collect();
+        registry
+            .histogram("sim.frtr.call_latency_s")
+            .record_cycle(&latencies, 1);
+        if plan.armed() {
+            let t_clean_s = node.full_config.full_configuration_time_s();
+            record_fault_metrics(registry, "sim.frtr", &fates, &timings, t_clean_s);
+        }
+    }
     timeline.record_metrics(registry, "sim.frtr");
     Ok(ExecutionReport {
         total: now - SimTime::ZERO,
-        n_config: calls.len() as u64 - n_dropped,
         calls: timings,
         timeline,
+        n_config,
         n_dropped,
     })
 }
@@ -842,13 +765,6 @@ fn run_prtr_impl(
     let tid_host = Lane::Host.chrome_tid();
     let tid_cfg = Lane::ConfigPort.chrome_tid();
     let jrun = j.enter("sim.run_prtr", 0, tid_host);
-    let m_calls = registry.counter("sim.prtr.calls");
-    let m_hits = registry.counter("sim.prtr.hits");
-    let m_misses = registry.counter("sim.prtr.misses");
-    let m_configs = registry.counter("sim.prtr.partial_configs");
-    let m_latency = registry.histogram("sim.prtr.call_latency_s");
-    let m_icap_transfers = registry.counter("sim.icap.transfers");
-    let m_icap_bytes = registry.counter("sim.icap.bytes");
 
     let t_decision = SimDuration::from_secs_f64(node.decision_latency_s);
     let t_control = SimDuration::from_secs_f64(node.control_overhead_s);
@@ -860,8 +776,7 @@ fn run_prtr_impl(
     // slot)` stream, so escalations and blacklisting stay in lockstep
     // without any fate passing. Under a disarmed plan every call is
     // clean.
-    let armed = plan.armed();
-    let fates: Vec<CallFate> = if armed {
+    let fates: Vec<CallFate> = if plan.armed() {
         let mut state = FaultState::new(*plan, node.n_prrs);
         calls
             .iter()
@@ -883,42 +798,22 @@ fn run_prtr_impl(
             .copied()
             .unwrap_or_else(CallFate::clean_partial)
     };
-    let fm = armed.then(|| FaultMetrics::new(registry, "sim.prtr"));
-
-    // Salted keys confine steady-state jumps to fault-free stretches
-    // (see `run_frtr_impl`).
-    let keys: Vec<(PrtrKey, u64)> = if enable_jump {
-        calls
-            .iter()
-            .enumerate()
-            .map(|(i, c)| {
-                let salt = if fate_of(i).is_clean() {
-                    0
-                } else {
-                    i as u64 + 1
-                };
-                (
-                    PrtrKey {
-                        name: c.task.name,
-                        bytes_in: c.task.bytes_in,
-                        bytes_out: c.task.bytes_out,
-                        hit: c.hit,
-                        slot: c.slot,
-                    },
-                    salt,
-                )
-            })
-            .collect()
-    } else {
-        Vec::new()
-    };
-    let mut seen: HashMap<((PrtrKey, u64), RelState), SeenAt> = HashMap::new();
-    let mut n_dropped = 0u64;
+    let mut fast: FastPath<PrtrKey, RelState> = FastPath::new(
+        enable_jump,
+        calls.len(),
+        |i| PrtrKey {
+            name: calls[i].task.name,
+            bytes_in: calls[i].task.bytes_in,
+            bytes_out: calls[i].task.bytes_out,
+            hit: calls[i].hit,
+            slot: calls[i].slot,
+        },
+        |i| fate_of(i).is_clean(),
+    );
 
     let mut timeline = Timeline::default();
     let mut labels = LabelCache::default();
     let mut timings: Vec<CallTiming> = Vec::with_capacity(calls.len());
-    let mut n_config = 0u64;
     let mut icap_free = SimTime::ZERO;
     // Execution window of the previous call.
     let mut prev: Option<(SimTime, SimTime, u64)> = None; // (exec_start, exec_end, bytes_in)
@@ -927,65 +822,18 @@ fn run_prtr_impl(
     while i < calls.len() {
         // The recurrence's carry-over state is relative to prev_start
         // (cold calls carry no state and never participate).
-        if enable_jump {
-            if let Some((prev_start, prev_end, prev_bytes_in)) = prev {
-                let rel = RelState {
-                    exec_ns: (prev_end - prev_start).0,
-                    icap_ns: (icap_free.max(prev_start) - prev_start).0,
-                    prev_bytes_in,
-                };
-                if let Some(at) = seen.get(&(keys[i], rel)).copied() {
-                    let p = i - at.i0;
-                    let m = verified_periods(&keys, at.i0, p, i);
-                    if m >= 1 {
-                        let delta = prev_start.0 - at.anchor.0;
-                        let pattern = timeline.split_off_events(at.items_marker);
-                        timeline.push_repeat(pattern, m + 1, SimDuration(delta));
-                        // The block's per-call marginal latencies are
-                        // shift-invariant; its first call's predecessor is
-                        // timings[marker - 1] (i0 ≥ 1 always holds here).
-                        let latencies: Vec<f64> = (at.timings_marker..timings.len())
-                            .map(|t| (timings[t].exec_end - timings[t - 1].exec_end).as_secs_f64())
-                            .collect();
-                        let block = timings[at.timings_marker..].to_vec();
-                        let block_hits = calls[at.i0..i].iter().filter(|c| c.hit).count() as u64;
-                        let block_cfgs =
-                            block.iter().filter(|t| t.config_start.is_some()).count() as u64;
-                        for k in 1..=m {
-                            timings.extend(block.iter().map(|t| t.shifted(k * delta)));
-                        }
-                        let jumped = m * p as u64;
-                        m_calls.add(jumped);
-                        m_hits.add(m * block_hits);
-                        m_misses.add(m * (p as u64 - block_hits));
-                        m_configs.add(m * block_cfgs);
-                        m_icap_transfers.add(m * block_cfgs);
-                        m_icap_bytes.add(m * block_cfgs * node.prr_bitstream_bytes);
-                        m_latency.record_cycle(&latencies, m);
-                        n_config += m * block_cfgs;
-                        j.replay_cycle(at.jmark, m, delta);
-                        let shift = m * delta;
-                        prev = Some((
-                            SimTime(prev_start.0 + shift),
-                            SimTime(prev_end.0 + shift),
-                            prev_bytes_in,
-                        ));
-                        icap_free = SimTime(icap_free.max(prev_start).0 + shift);
-                        i += m as usize * p;
-                        seen.clear();
-                        continue;
-                    }
-                }
-                seen.insert(
-                    (keys[i], rel),
-                    SeenAt {
-                        i0: i,
-                        anchor: prev_start,
-                        items_marker: timeline.n_items(),
-                        timings_marker: timings.len(),
-                        jmark: j.mark(),
-                    },
-                );
+        if let Some((prev_start, prev_end, prev_bytes_in)) = prev {
+            let rel = RelState {
+                exec_ns: (prev_end - prev_start).0,
+                icap_ns: (icap_free.max(prev_start) - prev_start).0,
+                prev_bytes_in,
+            };
+            if let Some(jump) = fast.jump(i, rel, prev_start, &mut timeline, &mut timings, j) {
+                let shift = |t: SimTime| SimTime(t.0 + jump.shift_ns);
+                prev = Some((shift(prev_start), shift(prev_end), prev_bytes_in));
+                icap_free = shift(icap_free.max(prev_start));
+                i += jump.calls;
+                continue;
             }
         }
 
@@ -1045,8 +893,6 @@ fn run_prtr_impl(
                     cs,
                     ce,
                 );
-                m_icap_transfers.inc();
-                m_icap_bytes.add(node.prr_bitstream_bytes);
                 (ce, jcfg)
             } else {
                 let mut jchain: PendingLink = jdec.map(|d| (d, "hide"));
@@ -1064,32 +910,16 @@ fn run_prtr_impl(
                     jcall,
                     &mut jchain,
                 )?;
-                if let Some(fm) = &fm {
-                    fm.record(&fate, (ce - cs).as_secs_f64() - t_prtr.as_secs_f64());
-                }
                 (ce, jchain.map(|(id, _)| id))
             };
-            if !fate.dropped {
-                n_config += 1;
-                if !(fate.escalated || fate.forced_full) {
-                    m_configs.inc();
-                }
-            }
             icap_free = ce;
             ready = ready.max(ce);
             Some((cs, ce, jcfg))
         };
 
-        m_calls.inc();
-        if call.hit {
-            m_hits.inc();
-        } else {
-            m_misses.inc();
-        }
         let (exec_start, exec_end) = if fate.dropped {
             // The call never ran: zero-length execution window at its
             // ready point, no control transfer, no data.
-            n_dropped += 1;
             (ready, ready)
         } else {
             let (exec_start, exec_end) = push_exec_events(
@@ -1122,22 +952,48 @@ fn run_prtr_impl(
             exec_start,
             exec_end,
         });
-        // Marginal wall-clock cost of this call — in steady state this
-        // is the model's per-call increment, e.g.
-        // max(T_task + T_decision, T_PRTR) + T_control on a miss.
-        m_latency.record((exec_end - prev_end).as_secs_f64());
 
         // A dropped call moved no input data.
         let bytes_in = if fate.dropped { 0 } else { call.task.bytes_in };
         prev = Some((exec_start, exec_end, bytes_in));
         i += 1;
     }
+    let end = timings.last().expect("non-empty").exec_end;
+    j.exit(jrun, end.0);
 
-    let total = timings.last().expect("non-empty").exec_end - SimTime::ZERO;
-    j.exit(jrun, timings.last().expect("non-empty").exec_end.0);
+    // Every miss configures unless dropped. It is one clean ICAP
+    // transfer unless faulty (a fault chain counted its own attempts),
+    // and a partial configuration unless its chain ended full. Hits are
+    // always clean, and only an armed plan has fates to read.
+    let misses = calls.iter().filter(|c| !c.hit).count() as u64;
+    let (mut n_clean, mut n_partial, mut n_dropped) = (misses, misses, 0);
+    for f in fates.iter().filter(|f| !f.is_clean()) {
+        n_clean -= 1;
+        n_partial -= (f.dropped || f.escalated || f.forced_full) as u64;
+        n_dropped += f.dropped as u64;
+    }
+    let n_config = misses - n_dropped;
+    if registry.is_enabled() {
+        registry.counter("sim.prtr.calls").add(calls.len() as u64);
+        registry
+            .counter("sim.prtr.hits")
+            .add(calls.len() as u64 - misses);
+        registry.counter("sim.prtr.misses").add(misses);
+        registry.counter("sim.prtr.partial_configs").add(n_partial);
+        registry.counter("sim.icap.transfers").add(n_clean);
+        registry
+            .counter("sim.icap.bytes")
+            .add(n_clean * node.prr_bitstream_bytes);
+        registry
+            .histogram("sim.prtr.call_latency_s")
+            .record_cycle(&marginal_latencies_s(&timings), 1);
+        if plan.armed() {
+            record_fault_metrics(registry, "sim.prtr", &fates, &timings, t_prtr.as_secs_f64());
+        }
+    }
     timeline.record_metrics(registry, "sim.prtr");
     Ok(ExecutionReport {
-        total,
+        total: end - SimTime::ZERO,
         calls: timings,
         timeline,
         n_config,

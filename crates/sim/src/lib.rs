@@ -42,6 +42,7 @@ pub mod cray_api;
 pub mod engine;
 pub mod error;
 pub mod executor;
+mod fast;
 pub mod icap;
 pub mod node;
 pub mod preempt;

@@ -13,10 +13,13 @@
 //! window layout relative to its own decision start plus the gap to the
 //! previous segment, salted by its preemption/fault shape — equal keys
 //! over a whole period imply the rendered output repeats verbatim up to
-//! a constant shift, so the closed-form jump (RLE timeline block,
-//! shifted timings, bulk metrics, [`hprc_obs::Journal::replay_cycle`])
-//! is bit-identical to the per-segment path. [`run_preemptive_reference`]
-//! is the per-segment oracle, exactly as for the other executors.
+//! a constant shift, so the executors' shared closed-form jump (RLE
+//! timeline block, shifted timings, one
+//! [`hprc_obs::Journal::replay_cycle`]) is bit-identical to the
+//! per-segment path. The `sim.preempt.*` counters and the segment
+//! latency histogram are derived once after the loop, from the segments
+//! and the finished timings. [`run_preemptive_reference`] is the
+//! per-segment oracle, exactly as for the other executors.
 //!
 //! Journal causality: each task gets one stable `ctx:{name}` anchor
 //! span (its host-side context buffer), opened before any segment and
@@ -33,9 +36,10 @@ use serde::{Deserialize, Serialize};
 
 use crate::error::SimError;
 use crate::executor::{
-    verified_periods, CallTiming, ExecutionReport, LabelCache, SeenAt, L_CFG, L_CTL, L_DEC, L_FULL,
+    marginal_latencies_s, CallTiming, ExecutionReport, LabelCache, L_CFG, L_CTL, L_DEC, L_FULL,
     L_RCV, L_RES, L_SAV,
 };
+use crate::fast::FastPath;
 use crate::node::NodeConfig;
 use crate::time::{SimDuration, SimTime};
 use crate::trace::{EventKind, Lane, Timeline};
@@ -107,10 +111,10 @@ impl PreemptSegment {
 /// Everything that determines a segment's rendered output up to a time
 /// translation: its window layout relative to its own decision start,
 /// the gap to the previous segment's decision start, the previous
-/// segment's exec end relative to this decision start (the marginal
-/// latency sample reads it), and its shape flags. Timing is given, so
-/// no further carry-over state is needed — a gap match *is* the
-/// adjacency proof.
+/// segment's exec end relative to this decision start (it fixes the
+/// segment's marginal latency sample), and its shape flags. Timing is
+/// given, so no further carry-over state is needed — a gap match *is*
+/// the adjacency proof.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 struct SegKey {
     name: Symbol,
@@ -126,7 +130,10 @@ struct SegKey {
     flags: u8,
 }
 
-fn seg_key(seg: &PreemptSegment, prev_start: SimTime, prev_exec_end: SimTime) -> SegKey {
+fn seg_key(seg: &PreemptSegment, prev: Option<&PreemptSegment>) -> SegKey {
+    let (prev_start, prev_exec_end) = prev.map_or((SimTime::ZERO, SimTime::ZERO), |p| {
+        (p.decision_start, p.exec_end)
+    });
     let base = seg.decision_start.0;
     let rel = |t: SimTime| t.0 - base;
     let win = |(s, e): (SimTime, SimTime)| (rel(s), e.0 - s.0);
@@ -157,15 +164,6 @@ fn seg_key(seg: &PreemptSegment, prev_start: SimTime, prev_exec_end: SimTime) ->
             | (seg.dropped as u8) << 4
             | (seg.clean as u8) << 5,
     }
-}
-
-/// Marginal latency sample: completion-to-completion, clamped at zero
-/// because execution windows on different PRRs may overlap (a later
-/// dispatch can finish before an earlier long-running one). Used
-/// identically by the per-segment path and the jump replication, and
-/// shift-invariant within a verified period.
-fn latency_s(exec_end: SimTime, prev_end: SimTime) -> f64 {
-    (exec_end.max(prev_end) - prev_end).as_secs_f64()
 }
 
 /// Renders a preemptive schedule with the steady-state fast path
@@ -212,15 +210,6 @@ fn run_preemptive_impl(
     let tid_host = Lane::Host.chrome_tid();
     let tid_cfg = Lane::ConfigPort.chrome_tid();
     let jrun = j.enter("sim.run_preemptive", 0, tid_host);
-    let m_segments = registry.counter("sim.preempt.segments");
-    let m_hits = registry.counter("sim.preempt.hits");
-    let m_misses = registry.counter("sim.preempt.misses");
-    let m_configs = registry.counter("sim.preempt.configs");
-    let m_saves = registry.counter("sim.preempt.saves");
-    let m_restores = registry.counter("sim.preempt.restores");
-    let m_drops = registry.counter("sim.preempt.drops");
-    let m_forced = registry.counter("sim.preempt.forced_full");
-    let m_latency = registry.histogram("sim.preempt.segment_latency_s");
 
     // One stable anchor span per task: the host-side context buffer the
     // checkpoint flows dock at. Opened before any segment (outside any
@@ -242,89 +231,27 @@ fn run_preemptive_impl(
         }
     }
 
-    // Salted keys confine jumps to clean segments, mirroring the faulty
-    // executors: a non-clean segment gets a unique salt so no period
-    // containing it ever matches.
-    let keys: Vec<(SegKey, u64)> = if enable_jump {
-        segments
-            .iter()
-            .enumerate()
-            .map(|(i, s)| {
-                let (prev_start, prev_exec_end) = if i == 0 {
-                    (SimTime::ZERO, SimTime::ZERO)
-                } else {
-                    (segments[i - 1].decision_start, segments[i - 1].exec_end)
-                };
-                let salt = if s.clean { 0 } else { i as u64 + 1 };
-                (seg_key(s, prev_start, prev_exec_end), salt)
-            })
-            .collect()
-    } else {
-        Vec::new()
-    };
-    let mut seen: HashMap<(SegKey, u64), SeenAt> = HashMap::new();
+    // Non-clean segments are salted apart, so jumps stay confined to
+    // clean stretches, as in the faulty executors.
+    let mut fast: FastPath<SegKey> = FastPath::new(
+        enable_jump,
+        segments.len(),
+        |i| seg_key(&segments[i], i.checked_sub(1).map(|p| &segments[p])),
+        |i| segments[i].clean,
+    );
 
     let mut timeline = Timeline::default();
     let mut labels = LabelCache::default();
     let mut timings: Vec<CallTiming> = Vec::with_capacity(segments.len());
-    let mut n_config = 0u64;
-    let mut n_dropped = 0u64;
 
     let mut i = 0usize;
     while i < segments.len() {
-        if enable_jump && i >= 1 {
-            if let Some(at) = seen.get(&keys[i]).copied() {
-                let p = i - at.i0;
-                let m = verified_periods(&keys, at.i0, p, i);
-                if m >= 1 {
-                    let delta = segments[i].decision_start.0 - at.anchor.0;
-                    let pattern = timeline.split_off_events(at.items_marker);
-                    timeline.push_repeat(pattern, m + 1, SimDuration(delta));
-                    let latencies: Vec<f64> = (at.timings_marker..timings.len())
-                        .map(|t| latency_s(timings[t].exec_end, timings[t - 1].exec_end))
-                        .collect();
-                    let block = timings[at.timings_marker..].to_vec();
-                    let bseg = &segments[at.i0..i];
-                    let b_hits = bseg.iter().filter(|s| s.hit).count() as u64;
-                    let b_cfgs = bseg.iter().filter(|s| s.config.is_some()).count() as u64;
-                    let b_cfg_ok = bseg
-                        .iter()
-                        .filter(|s| s.config.is_some() && !s.dropped)
-                        .count() as u64;
-                    let b_saves = bseg.iter().filter(|s| s.save.is_some()).count() as u64;
-                    let b_restores = bseg.iter().filter(|s| s.restore.is_some()).count() as u64;
-                    let b_drops = bseg.iter().filter(|s| s.dropped).count() as u64;
-                    let b_forced = bseg.iter().filter(|s| s.forced_full).count() as u64;
-                    for k in 1..=m {
-                        timings.extend(block.iter().map(|t| t.shifted(k * delta)));
-                    }
-                    m_segments.add(m * p as u64);
-                    m_hits.add(m * b_hits);
-                    m_misses.add(m * (p as u64 - b_hits));
-                    m_configs.add(m * b_cfgs);
-                    m_saves.add(m * b_saves);
-                    m_restores.add(m * b_restores);
-                    m_drops.add(m * b_drops);
-                    m_forced.add(m * b_forced);
-                    m_latency.record_cycle(&latencies, m);
-                    n_config += m * b_cfg_ok;
-                    n_dropped += m * b_drops;
-                    j.replay_cycle(at.jmark, m, delta);
-                    i += m as usize * p;
-                    seen.clear();
-                    continue;
-                }
+        if i >= 1 {
+            let anchor = segments[i].decision_start;
+            if let Some(jump) = fast.jump(i, (), anchor, &mut timeline, &mut timings, j) {
+                i += jump.calls;
+                continue;
             }
-            seen.insert(
-                keys[i],
-                SeenAt {
-                    i0: i,
-                    anchor: segments[i].decision_start,
-                    items_marker: timeline.n_items(),
-                    timings_marker: timings.len(),
-                    jmark: j.mark(),
-                },
-            );
         }
 
         let seg = &segments[i];
@@ -363,9 +290,6 @@ fn run_preemptive_impl(
                 clean_end,
                 ce,
             );
-            if !seg.dropped {
-                n_config += 1;
-            }
         }
 
         let mut jres = None;
@@ -387,7 +311,6 @@ fn run_preemptive_impl(
                 clean_end,
                 re,
             );
-            m_restores.inc();
         }
 
         timeline.push(
@@ -434,27 +357,8 @@ fn run_preemptive_impl(
                 ss,
                 se,
             );
-            m_saves.inc();
         }
 
-        m_segments.inc();
-        if seg.hit {
-            m_hits.inc();
-        } else {
-            m_misses.inc();
-        }
-        if seg.config.is_some() {
-            m_configs.inc();
-        }
-        if seg.dropped {
-            m_drops.inc();
-            n_dropped += 1;
-        }
-        if seg.forced_full {
-            m_forced.inc();
-        }
-        let prev_end = timings.last().map_or(SimTime::ZERO, |t| t.exec_end);
-        m_latency.record(latency_s(seg.exec_end, prev_end));
         timings.push(CallTiming {
             name: seg.name,
             hit: seg.hit,
@@ -472,12 +376,33 @@ fn run_preemptive_impl(
         j.close(anchors[&name], end.0);
     }
     j.exit(jrun, end.0);
+
+    let count = |f: fn(&PreemptSegment) -> bool| segments.iter().filter(|s| f(s)).count() as u64;
+    let n_dropped = count(|s| s.dropped);
+    if registry.is_enabled() {
+        let hits = count(|s| s.hit);
+        for (name, n) in [
+            ("sim.preempt.segments", segments.len() as u64),
+            ("sim.preempt.hits", hits),
+            ("sim.preempt.misses", segments.len() as u64 - hits),
+            ("sim.preempt.configs", count(|s| s.config.is_some())),
+            ("sim.preempt.saves", count(|s| s.save.is_some())),
+            ("sim.preempt.restores", count(|s| s.restore.is_some())),
+            ("sim.preempt.drops", n_dropped),
+            ("sim.preempt.forced_full", count(|s| s.forced_full)),
+        ] {
+            registry.counter(name).add(n);
+        }
+        registry
+            .histogram("sim.preempt.segment_latency_s")
+            .record_cycle(&marginal_latencies_s(&timings), 1);
+    }
     timeline.record_metrics(registry, "sim.preempt");
     Ok(ExecutionReport {
         total: end - SimTime::ZERO,
         calls: timings,
         timeline,
-        n_config,
+        n_config: count(|s| s.config.is_some() && !s.dropped),
         n_dropped,
     })
 }
