@@ -10,9 +10,10 @@
 //! identical logical sequence number, the refused work tallied as
 //! would-have-run in the cluster journal footer.
 //!
-//! Registries aggregate node → rack → cluster
-//! ([`hprc_obs::ShardedRegistry::merge_two_level`]); the cluster
-//! journal records dispatch → node-work causality with flow links (see
+//! Node registries merge into the cluster registry in node-index order
+//! ([`hprc_obs::ShardedRegistry::merge`]); per-rack `H` comes from the
+//! node outcomes ([`FleetRun::rack_hit_ratios`]). The cluster journal
+//! records dispatch → node-work causality with flow links (see
 //! [`crate::fleet::run_fleet`]).
 
 use hprc_ctx::ExecCtx;
@@ -77,7 +78,7 @@ fn throughput(run: &FleetRun) -> f64 {
 /// Runs the chaos sweep plus the budget-capped fleet, with availability,
 /// throughput ratio and minimum per-rack `H` vs chaos rate as its
 /// curves. Fleet counters
-/// (`fleet.*`) land in `ctx.registry` through the two-level merge;
+/// (`fleet.*`) land in `ctx.registry` through the index-ordered merge;
 /// summary gauges `exp.ext_fleet.min_availability` and
 /// `exp.ext_fleet.min_rack_h` ride along, and the budget fleet attaches
 /// its folded [`hprc_obs::BudgetAccount`] to the journal footer.

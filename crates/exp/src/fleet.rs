@@ -8,11 +8,11 @@
 //! node per rack — its own live child journal. After the parallel
 //! fan-out:
 //!
-//! * per-node registries merge **node → rack → cluster**
-//!   ([`ShardedRegistry::merge_two_level`]), index-ordered at both
-//!   levels, so the merged instrument state is byte-identical to a
-//!   serial run (and to the flat single-level merge — pinned by
-//!   proptests);
+//! * per-node registries merge into the cluster registry in node-index
+//!   order ([`ShardedRegistry::merge`]), so the merged instrument state
+//!   is byte-identical to a serial run. Per-rack quantities such as the
+//!   hit ratio come from the node outcomes
+//!   ([`FleetRun::rack_hit_ratios`]), not from rack registries;
 //! * the orchestrator writes the cluster causal record serially in
 //!   node-index order: a `fleet.dispatch` event and a `fleet.node`
 //!   span per node (one Chrome lane per rack), then merges each
@@ -258,7 +258,7 @@ fn run_node(
 }
 
 /// Runs one fleet: fans the nodes out across `ctx.jobs` workers,
-/// merges registries node → rack → cluster, writes the cluster causal
+/// merges node registries in index order, writes the cluster causal
 /// journal (dispatch events, per-node spans on per-rack lanes, witness
 /// journals, `dispatch` flow links), and folds per-node budget slices
 /// into one cluster [`BudgetAccount`] attached to the journal footer.
@@ -365,9 +365,8 @@ pub fn run_fleet(
         .map(|slot| slot.take().expect("every node completed"))
         .collect::<Result<_, _>>()?;
 
-    // Hierarchical node → rack → cluster merge, index-ordered at both
-    // levels (== the flat merge, by associativity; pinned by proptests).
-    shards.merge_two_level(&ctx.registry, spec.rack_size);
+    // Index-ordered merge: the serial run's instrument state.
+    shards.merge(&ctx.registry);
 
     // The cluster causal record, serialized in node-index order: every
     // node gets a dispatch event and a span on its rack's lane; witness

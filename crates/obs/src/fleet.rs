@@ -1,5 +1,5 @@
 //! Fleet topology: the node → rack → cluster shape shared by the
-//! hierarchical registry merge, the cluster journal, and the fleet
+//! cluster journal, the per-rack statistics, and the fleet
 //! orchestrator.
 //!
 //! A [`FleetTopology`] is nothing but arithmetic over a node count and
@@ -8,9 +8,9 @@
 //! and which nodes are *witnesses* — the one node per rack whose child
 //! journal is kept live and merged into the cluster journal, bounding
 //! journal growth to O(racks) while still giving every rack a causal
-//! sample. Merging per-node registries through the same shape is
-//! [`ShardedRegistry::merge_two_level`](crate::ShardedRegistry::merge_two_level);
-//! the equivalence with a flat merge is pinned by proptests.
+//! sample. Per-node registries need no rack level: they merge flat, in
+//! node-index order
+//! ([`ShardedRegistry::merge`](crate::ShardedRegistry::merge)).
 
 /// The node/rack shape of one fleet run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -82,34 +82,6 @@ impl ShardedRegistry {
             parent.merge_from(shard);
         }
     }
-
-    /// Folds the shards into `parent` through an intermediate rack
-    /// level: shards `[0, rack_size)` merge into rack registry 0,
-    /// `[rack_size, 2*rack_size)` into rack registry 1, and so on, then
-    /// the racks merge into `parent` in rack order. Because every merge
-    /// step is index-ordered and [`Registry::merge_from`] is
-    /// associative over that order, the result is identical to the flat
-    /// [`merge`](ShardedRegistry::merge) — the rack level exists so a
-    /// fleet can interpose per-rack aggregation (and tests can pin the
-    /// equivalence).
-    ///
-    /// # Panics
-    ///
-    /// Panics when `rack_size` is zero.
-    pub fn merge_two_level(self, parent: &Registry, rack_size: usize) {
-        assert!(rack_size > 0, "rack_size must be positive");
-        for rack_shards in self.shards.chunks(rack_size) {
-            let rack = if parent.is_enabled() {
-                Registry::new()
-            } else {
-                Registry::noop()
-            };
-            for shard in rack_shards {
-                rack.merge_from(shard);
-            }
-            parent.merge_from(&rack);
-        }
-    }
 }
 
 #[cfg(test)]
@@ -160,40 +132,6 @@ mod tests {
             a.to_json_value()["histograms"].to_string(),
             b.to_json_value()["histograms"].to_string()
         );
-    }
-
-    #[test]
-    fn two_level_merge_equals_flat_merge() {
-        let record = |shards: &ShardedRegistry| {
-            for i in 0..7usize {
-                shards.shard(i).counter("points").add(i as u64 + 1);
-                shards.shard(i).gauge("last_index").set(i as f64);
-                shards.shard(i).histogram("value").record(i as f64 * 1.5);
-            }
-        };
-        let flat_parent = Registry::new();
-        let flat = ShardedRegistry::new(&flat_parent, 7);
-        record(&flat);
-        flat.merge(&flat_parent);
-
-        // Ragged last rack: 7 shards in racks of 3 -> racks of 3, 3, 1.
-        let two_parent = Registry::new();
-        let two = ShardedRegistry::new(&two_parent, 7);
-        record(&two);
-        two.merge_two_level(&two_parent, 3);
-
-        use serde::Serialize;
-        assert_eq!(
-            flat_parent.snapshot().to_json_value().to_string(),
-            two_parent.snapshot().to_json_value().to_string()
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "rack_size must be positive")]
-    fn two_level_merge_rejects_zero_rack_size() {
-        let parent = Registry::new();
-        ShardedRegistry::new(&parent, 2).merge_two_level(&parent, 0);
     }
 
     #[test]

@@ -137,60 +137,6 @@ proptest! {
         prop_assert_eq!(&a["gauges"], &b["gauges"]);
         prop_assert_eq!(&a["histograms"], &b["histograms"]);
     }
-
-    /// The fleet orchestrator's hierarchical node → rack → cluster
-    /// merge equals the flat single-level merge exactly — counters,
-    /// gauges, and histogram sample order — for every shard count and
-    /// rack size (including ragged last racks and racks larger than the
-    /// shard set).
-    #[test]
-    fn two_level_merge_equals_flat_merge(
-        ops in proptest::collection::vec(shard_ops(), 0..9),
-        rack_size in 1..5usize,
-    ) {
-        let flat = Registry::new();
-        let shards = ShardedRegistry::new(&flat, ops.len());
-        for (i, op) in ops.iter().enumerate() {
-            record(shards.shard(i), i, op);
-        }
-        shards.merge(&flat);
-
-        let two_level = Registry::new();
-        let shards = ShardedRegistry::new(&two_level, ops.len());
-        for (i, op) in ops.iter().enumerate() {
-            record(shards.shard(i), i, op);
-        }
-        shards.merge_two_level(&two_level, rack_size);
-
-        prop_assert_eq!(
-            flat.snapshot().to_json_value(),
-            two_level.snapshot().to_json_value()
-        );
-    }
-
-    /// The two-level merge is itself deterministic: two identical
-    /// recording passes produce byte-identical snapshots regardless of
-    /// the order workers touched their shards.
-    #[test]
-    fn two_level_merge_is_deterministic(
-        ops in proptest::collection::vec(shard_ops(), 0..9),
-        rack_size in 1..5usize,
-        seed in any::<u64>(),
-    ) {
-        let run = |order: &[usize]| {
-            let parent = Registry::new();
-            let shards = ShardedRegistry::new(&parent, ops.len());
-            for &i in order {
-                record(shards.shard(i), i, &ops[i]);
-            }
-            shards.merge_two_level(&parent, rack_size);
-            serde_json::to_string(&parent.snapshot().to_json_value()).unwrap()
-        };
-        let index_order: Vec<usize> = (0..ops.len()).collect();
-        let a = run(&index_order);
-        let b = run(&permutation(ops.len(), seed));
-        prop_assert_eq!(a, b);
-    }
 }
 
 #[test]
