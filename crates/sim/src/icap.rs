@@ -88,23 +88,6 @@ impl IcapPath {
         SimDuration::from_secs_f64(self.transfer_time_s(bytes))
     }
 
-    /// [`IcapPath::transfer_duration`] with the transfer recorded into
-    /// `ctx.registry` (`sim.icap.transfers` / `sim.icap.bytes` counters
-    /// and a `sim.icap.transfer_s` histogram).
-    ///
-    /// The PRTR executor batches its accounting instead (one bitstream
-    /// size for the whole run); this entry point serves callers pushing
-    /// variable-size partial bitstreams.
-    pub fn transfer(&self, bytes: u64, ctx: &hprc_ctx::ExecCtx) -> SimDuration {
-        let d = self.transfer_duration(bytes);
-        ctx.registry.counter("sim.icap.transfers").inc();
-        ctx.registry.counter("sim.icap.bytes").add(bytes);
-        ctx.registry
-            .histogram("sim.icap.transfer_s")
-            .record(d.as_secs_f64());
-        d
-    }
-
     /// One fault-injectable transfer attempt: the injection hook the
     /// faulty PRTR executor drives. Counts `sim.icap.transfers` /
     /// `sim.icap.bytes` for every attempt (failed attempts consumed the
@@ -178,19 +161,6 @@ mod tests {
     #[test]
     fn zero_bytes_take_zero_time() {
         assert_eq!(IcapPath::xd1().transfer_time_s(0), 0.0);
-    }
-
-    #[test]
-    fn transfer_records_accounting() {
-        let ctx = hprc_ctx::ExecCtx::default().with_registry(hprc_obs::Registry::new());
-        let p = IcapPath::xd1();
-        let d1 = p.transfer(404_168, &ctx);
-        let d2 = p.transfer_duration(404_168);
-        assert_eq!(d1, d2, "instrumented path is timing-neutral");
-        let snap = ctx.registry.snapshot();
-        assert_eq!(snap.counters["sim.icap.transfers"], 1);
-        assert_eq!(snap.counters["sim.icap.bytes"], 404_168);
-        assert_eq!(snap.histograms["sim.icap.transfer_s"].count, 1);
     }
 
     #[test]
