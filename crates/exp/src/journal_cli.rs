@@ -87,15 +87,22 @@ fn read(path: &str) -> Result<String, String> {
 struct Dsu(HashMap<u64, u64>);
 
 impl Dsu {
+    /// The root of `x`'s set, with path compression. Iterative: a
+    /// journal's fault chains can be millions of links long.
     fn find(&mut self, x: u64) -> u64 {
-        let p = *self.0.entry(x).or_insert(x);
-        if p == x {
-            x
-        } else {
-            let root = self.find(p);
-            self.0.insert(x, root);
-            root
+        let mut root = x;
+        loop {
+            let p = *self.0.entry(root).or_insert(root);
+            if p == root {
+                break;
+            }
+            root = p;
         }
+        let mut y = x;
+        while y != root {
+            y = self.0.insert(y, root).expect("on the path just walked");
+        }
+        root
     }
 
     fn union(&mut self, a: u64, b: u64) {
@@ -455,6 +462,20 @@ mod tests {
         assert_eq!(p.schema, hprc_obs::JOURNAL_SCHEMA);
         assert!(p.account.is_some());
         assert!(p.records.len() > 8);
+    }
+
+    #[test]
+    fn dsu_finds_the_root_of_a_million_link_chain() {
+        // A fault chain k → k+1, as `summarize` unions it: each link
+        // hangs the previous root under the next id, so node 0 ends up
+        // a million parent pointers deep.
+        let mut dsu = Dsu(HashMap::new());
+        for k in 0..1_000_000u64 {
+            dsu.union(k, k + 1);
+        }
+        assert_eq!(dsu.find(0), 1_000_000);
+        // Path compression points the deepest node straight at the root.
+        assert_eq!(dsu.0[&0], 1_000_000);
     }
 
     #[test]
