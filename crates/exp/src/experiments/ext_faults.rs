@@ -108,7 +108,7 @@ fn seeds(ctx: &ExecCtx) -> (u64, u64) {
 /// Runs the fault-rate sweep, with effective speedup, availability and
 /// degraded `H` vs fault rate as its curves. Substrate fault counters
 /// (`sim.{frtr,prtr}.fault.*`, `sched.fault.*`) land in `ctx.registry`
-/// via the sharded merge, plus summary gauges
+/// through [`par_indexed`]'s index-ordered merge, plus summary gauges
 /// `exp.ext_faults.min_availability` and
 /// `exp.ext_faults.max_blacklisted`.
 pub fn run_with_series(ctx: &ExecCtx) -> (Report, Series) {

@@ -10,9 +10,10 @@
 //! identical logical sequence number, the refused work tallied as
 //! would-have-run in the cluster journal footer.
 //!
-//! Node registries merge into the cluster registry in node-index order
-//! ([`hprc_obs::ShardedRegistry::merge`]); per-rack `H` comes from the
-//! node outcomes ([`FleetRun::rack_hit_ratios`]). The cluster journal
+//! The nodes fan out through [`crate::runner::par_indexed`], whose
+//! children's registries merge into the cluster registry in node-index
+//! order; per-rack `H` comes from the node outcomes
+//! ([`FleetRun::rack_hit_ratios`]). The cluster journal
 //! records dispatch → node-work causality with flow links (see
 //! [`crate::fleet::run_fleet`]).
 

@@ -213,7 +213,8 @@ fn grid() -> Vec<(&'static str, f64, &'static str)> {
 /// measured node's curves vs tightness: for each policy, its
 /// deadline-miss ratio, then its effective speedup. Engine and
 /// renderer metrics (`sched.{policy}.preempt.*`, `sim.preempt.*`) land
-/// in `ctx.registry` via the sharded merge, plus the summary gauges
+/// in `ctx.registry` through [`par_indexed`]'s index-ordered merge,
+/// plus the summary gauges
 /// `exp.ext_preempt.max_miss_ratio_gain` (largest miss-ratio reduction
 /// preemption buys over the run-to-completion baseline) and
 /// `exp.ext_preempt.total_preemptions`.

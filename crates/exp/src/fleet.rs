@@ -1,18 +1,19 @@
 //! Deterministic cluster orchestrator: shards one workload across N
 //! simulated HPRC nodes and aggregates the results hierarchically.
 //!
-//! Each node is an independent child [`ExecCtx`]: its own derived
-//! workload and fault-plan seeds (resolved from the *parent* context
-//! before the fan-out, so they are `--jobs`-invariant), its own
-//! registry shard, its own run-budget slice, and — for one *witness*
-//! node per rack — its own live child journal. After the parallel
-//! fan-out:
+//! The nodes fan out through [`par_indexed`], so each node runs in its
+//! child [`ExecCtx`]: its own derived workload and fault-plan seeds
+//! (resolved from the *parent* context before the fan-out, so they are
+//! `--jobs`-invariant) and its own registry. The node overrides only
+//! two fields of that context: its run-budget slice and, for one
+//! *witness* node per rack, a live child journal. After the fan-out:
 //!
-//! * per-node registries merge into the cluster registry in node-index
-//!   order ([`ShardedRegistry::merge`]), so the merged instrument state
-//!   is byte-identical to a serial run. Per-rack quantities such as the
-//!   hit ratio come from the node outcomes
-//!   ([`FleetRun::rack_hit_ratios`]), not from rack registries;
+//! * per-node registries have merged into the cluster registry in
+//!   node-index order (the one merge [`par_indexed`] does for every
+//!   sweep), so the merged instrument state is byte-identical to a
+//!   serial run. Per-rack quantities such as the hit ratio come from
+//!   the node outcomes ([`FleetRun::rack_hit_ratios`]), not from rack
+//!   registries;
 //! * the orchestrator writes the cluster causal record serially in
 //!   node-index order: a `fleet.dispatch` event and a `fleet.node`
 //!   span per node (one Chrome lane per rack), then merges each
@@ -30,15 +31,14 @@
 use hprc_ctx::ExecCtx;
 use hprc_fault::{splitmix64, FaultPlan, FaultSpec, RecoveryPolicy};
 use hprc_fpga::floorplan::Floorplan;
-use hprc_obs::{BudgetAccount, FleetTopology, Journal, RunBudget, ShardedRegistry};
+use hprc_obs::{BudgetAccount, FleetTopology, Journal, RunBudget};
 use hprc_sched::policies::Markov;
 use hprc_sched::traces::TraceSpec;
 use hprc_sim::executor::run_prtr_faulty;
 use hprc_sim::node::NodeConfig;
 use serde::Serialize;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 
+use crate::runner::par_indexed;
 use crate::scenario::prtr_calls;
 
 /// Why a fleet run could not complete. Orchestrator failures propagate
@@ -257,8 +257,9 @@ fn run_node(
     })
 }
 
-/// Runs one fleet: fans the nodes out across `ctx.jobs` workers,
-/// merges node registries in index order, writes the cluster causal
+/// Runs one fleet: fans the nodes out across `ctx.jobs` workers with
+/// [`par_indexed`] (which merges node registries in index order),
+/// returns the lowest-index node error if any, writes the cluster causal
 /// journal (dispatch events, per-node spans on per-rack lanes, witness
 /// journals, `dispatch` flow links), and folds per-node budget slices
 /// into one cluster [`BudgetAccount`] attached to the journal footer.
@@ -288,85 +289,39 @@ pub fn run_fleet(
     );
     let budgets = budget_events.map(|total| RunBudget::split_events(total, n));
 
-    let shards = ShardedRegistry::new(&ctx.registry, n);
-    let children: Vec<ExecCtx> = (0..n)
-        .map(|i| ExecCtx {
-            registry: shards.shard(i).clone(),
-            // Witness-per-rack journals bound the cluster log to
-            // O(racks) node journals; the orchestrator still records
-            // every node's dispatch/span below.
-            journal: if topo.is_witness(i) {
-                ctx.journal
-                    .child(stream.wrapping_mul(0x0001_0000_0000).wrapping_add(i as u64))
-            } else {
-                Journal::noop()
-            },
-            seed: ctx.seed ^ i as u64,
-            jobs: 1,
-            budget: budgets
-                .as_ref()
-                .map_or_else(RunBudget::unlimited, |b| b[i].clone()),
-            delta: ctx.delta.clone(),
-        })
-        .collect();
-
-    let jobs = ctx.effective_jobs().min(n.max(1));
-    let mut slots: Vec<Option<Result<NodeOutcome, FleetError>>> = if jobs <= 1 {
-        children
-            .iter()
-            .enumerate()
-            .map(|(i, child)| {
-                Some(run_node(
-                    i,
-                    spec,
-                    &topo,
-                    base_trace_seed,
-                    base_plan_seed,
-                    &kill_plan,
-                    child,
-                ))
-            })
-            .collect()
-    } else {
-        let mut slots: Vec<Option<Result<NodeOutcome, FleetError>>> = Vec::with_capacity(n);
-        slots.resize_with(n, || None);
-        let slots = Mutex::new(slots);
-        let next = AtomicUsize::new(0);
-        let children = &children;
-        let topo_ref = &topo;
-        let kill_ref = &kill_plan;
-        crossbeam::thread::scope(|s| {
-            for _ in 0..jobs {
-                s.spawn(|_| loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= n {
-                        break;
-                    }
-                    let value = run_node(
-                        i,
-                        spec,
-                        topo_ref,
-                        base_trace_seed,
-                        base_plan_seed,
-                        kill_ref,
-                        &children[i],
-                    );
-                    slots.lock().expect("fleet slots lock")[i] = Some(value);
-                });
-            }
-        })
-        .expect("fleet scope");
-        slots.into_inner().expect("fleet slots lock")
-    };
-    // The lowest-index node error wins deterministically (slots are
-    // drained in index order), regardless of worker interleaving.
-    let outcomes: Vec<NodeOutcome> = slots
-        .iter_mut()
-        .map(|slot| slot.take().expect("every node completed"))
-        .collect::<Result<_, _>>()?;
-
-    // Index-ordered merge: the serial run's instrument state.
-    shards.merge(&ctx.registry);
+    // The witness journals derive from `ctx.journal` below, so the
+    // fan-out itself runs with its journal off: no node builds a child
+    // journal it would never write.
+    let fan = ctx.clone().with_journal(Journal::noop());
+    let nodes = par_indexed(n, &fan, |i, child| {
+        // Witness-per-rack journals bound the cluster log to O(racks)
+        // node journals; the orchestrator still records every node's
+        // dispatch/span below.
+        let journal = if topo.is_witness(i) {
+            ctx.journal
+                .child(stream.wrapping_mul(0x0001_0000_0000).wrapping_add(i as u64))
+        } else {
+            Journal::noop()
+        };
+        let budget = budgets
+            .as_ref()
+            .map_or_else(RunBudget::unlimited, |b| b[i].clone());
+        let node = child.clone().with_journal(journal).with_budget(budget);
+        let outcome = run_node(
+            i,
+            spec,
+            &topo,
+            base_trace_seed,
+            base_plan_seed,
+            &kill_plan,
+            &node,
+        );
+        (outcome, node.journal)
+    });
+    // The lowest-index node error wins deterministically (results come
+    // back in index order), regardless of worker interleaving.
+    let (outcomes, journals): (Vec<_>, Vec<Journal>) = nodes.into_iter().unzip();
+    let outcomes: Vec<NodeOutcome> = outcomes.into_iter().collect::<Result<_, _>>()?;
 
     // The cluster causal record, serialized in node-index order: every
     // node gets a dispatch event and a span on its rack's lane; witness
@@ -382,11 +337,11 @@ pub fn run_fleet(
             .open("fleet.node", run_span, t0, 1 + out.rack as u64);
         ctx.journal.close(span, t0 + out.end_ns);
         if topo.is_witness(i) {
-            let work = children[i].journal.records().iter().find_map(|r| match r {
+            let work = journals[i].records().iter().find_map(|r| match r {
                 hprc_obs::JournalRecord::Open { id, .. } => Some(*id),
                 _ => None,
             });
-            ctx.journal.merge_from(&children[i].journal);
+            ctx.journal.merge_from(&journals[i]);
             ctx.journal.flow(d, work, "dispatch");
         }
     }
@@ -450,25 +405,36 @@ mod tests {
 
     #[test]
     fn fleet_is_jobs_invariant_in_artifacts_and_journal() {
-        let run_with = |jobs: usize| {
-            let ctx = ExecCtx::default()
-                .with_registry(Registry::new())
-                .with_journal(Journal::new(77))
-                .with_seed(5)
-                .with_jobs(jobs);
-            let run = run_fleet(&small(), 0, None, &ctx).unwrap();
-            (
-                format!("{:?}", run.outcomes),
-                ctx.journal.to_jsonl("fleet", 5),
-                ctx.registry.snapshot(),
-            )
-        };
-        let (o1, j1, s1) = run_with(1);
-        let (o4, j4, s4) = run_with(4);
-        assert_eq!(o1, o4);
-        assert_eq!(j1, j4, "cluster journal is byte-identical at any --jobs");
-        assert_eq!(s1.counters, s4.counters);
-        assert_eq!(s1.histograms, s4.histograms);
+        // One node takes the fan-out's single-point path, which records
+        // straight into the cluster registry; 24 nodes merge per-node
+        // registries after the fan-out.
+        for nodes in [1, 24] {
+            let spec = FleetSpec { nodes, ..small() };
+            let run_with = |jobs: usize| {
+                let ctx = ExecCtx::default()
+                    .with_registry(Registry::new())
+                    .with_journal(Journal::new(77))
+                    .with_seed(5)
+                    .with_jobs(jobs);
+                let run = run_fleet(&spec, 0, None, &ctx).unwrap();
+                (
+                    format!("{:?}", run.outcomes),
+                    ctx.journal.to_jsonl("fleet", 5),
+                    ctx.registry.snapshot(),
+                )
+            };
+            let (o1, j1, s1) = run_with(1);
+            let (o4, j4, s4) = run_with(4);
+            assert_eq!(o1, o4, "{nodes} nodes");
+            assert_eq!(
+                j1, j4,
+                "{nodes} nodes: cluster journal is byte-identical at any --jobs"
+            );
+            assert_eq!(s1.counters["fleet.nodes"], nodes as u64);
+            assert_eq!(s1.counters, s4.counters, "{nodes} nodes");
+            assert_eq!(s1.gauges, s4.gauges, "{nodes} nodes");
+            assert_eq!(s1.histograms, s4.histograms, "{nodes} nodes");
+        }
     }
 
     #[test]

@@ -528,8 +528,7 @@ mod tests {
         let run = j.enter("fleet.run", 0, 0);
         j.exit(run, 10);
         let budget = hprc_obs::RunBudget::events(2);
-        budget.try_charge(2, 0);
-        budget.try_charge(1, 0);
+        budget.admit(3);
         j.set_budget_account(budget.account().unwrap());
         let dir = std::env::temp_dir().join("hprc-journal-cli-test");
         std::fs::create_dir_all(&dir).unwrap();
@@ -538,7 +537,7 @@ mod tests {
         let text = summarize(path.to_str().unwrap()).unwrap();
         assert!(
             text.contains(
-                "budget max_events=2 charged_events=2 cutoff_seq=2 would_have_run=1 runs_cut=1"
+                "budget max_events=2 charged_events=2 cutoff_seq=3 would_have_run=1 runs_cut=1"
             ),
             "{text}"
         );

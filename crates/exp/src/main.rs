@@ -128,9 +128,9 @@ fn main() -> ExitCode {
             },
             "--no-delta" => use_delta = false,
             "--run-id" => match args.next() {
-                Some(r) if !r.is_empty() && !r.contains('/') => run_id = r,
-                _ => {
-                    eprintln!("--run-id requires a non-empty name without '/'");
+                Some(r) => run_id = r,
+                None => {
+                    eprintln!("--run-id requires a name");
                     return ExitCode::FAILURE;
                 }
             },
@@ -152,6 +152,13 @@ fn main() -> ExitCode {
             other => ids.push(other.to_string()),
         }
     }
+    let mpath = match hprc_exp::recover::manifest_path(&out_dir, &run_id) {
+        Ok(p) => p,
+        Err(e) => {
+            eprintln!("error: {e}");
+            return ExitCode::FAILURE;
+        }
+    };
     if crash_at.is_none() {
         crash_at = match hprc_exp::recover::crash_at_from_env() {
             Ok(c) => c,
@@ -222,7 +229,6 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     }
-    let mpath = hprc_exp::recover::manifest_path(&out_dir, &run_id);
     let mut manifest = match Manifest::create(&mpath, crash_at) {
         Ok(m) => m,
         Err(e) => {

@@ -36,9 +36,16 @@ use serde_json::Value;
 use crate::report::{series_csv_text, Report};
 use crate::{ExpError, Experiment};
 
-/// The manifest path for run id `run` under the out directory.
-pub fn manifest_path(out_dir: &Path, run: &str) -> PathBuf {
-    out_dir.join(format!("{run}.manifest.jsonl"))
+/// The manifest path for run id `run` under the out directory. A run
+/// id names one file there, so it must be non-empty and hold no `/`:
+/// `--run-id` and `resume RUN_ID` are both checked here.
+pub fn manifest_path(out_dir: &Path, run: &str) -> Result<PathBuf, String> {
+    if run.is_empty() || run.contains('/') {
+        return Err(format!(
+            "run id must be a non-empty name without '/', got {run:?}"
+        ));
+    }
+    Ok(out_dir.join(format!("{run}.manifest.jsonl")))
 }
 
 /// Parses `HPRC_CRASH_AT` (the CI-facing twin of `--crash-at`).
@@ -201,9 +208,19 @@ pub fn parse_manifest(text: &str) -> Result<ParsedManifest, String> {
                 let crc_hex = str_field(&entry, "crc", line_no)?;
                 let crc = u32::from_str_radix(&crc_hex, 16)
                     .map_err(|_| format!("manifest line {line_no}: bad crc {crc_hex:?}"))?;
+                // Resume joins the name to a run directory, so it must be
+                // one of the names `produce` writes: a plain file name
+                // that starts with `<id>.`.
+                let name = str_field(&entry, "name", line_no)?;
+                let plain = Path::new(&name).file_name() == Some(name.as_ref());
+                if !plain || !name.starts_with(&format!("{id}.")) {
+                    return Err(format!(
+                        "manifest line {line_no}: sealed name {name:?} is not a file of {id:?}"
+                    ));
+                }
                 m.points.entry(id).or_default().sealed.push(SealedArtifact {
                     dir,
-                    name: str_field(&entry, "name", line_no)?,
+                    name,
                     crc,
                     bytes: entry["bytes"]
                         .as_u64()
@@ -549,7 +566,13 @@ pub fn resume_main(args: impl Iterator<Item = String>) -> ExitCode {
         };
     }
 
-    let mpath = manifest_path(&out_dir, &run_id);
+    let mpath = match manifest_path(&out_dir, &run_id) {
+        Ok(p) => p,
+        Err(e) => {
+            eprintln!("error: {e}\n\n{}", resume_usage());
+            return ExitCode::FAILURE;
+        }
+    };
     let text = match std::fs::read_to_string(&mpath) {
         Ok(t) => t,
         Err(e) => {
@@ -768,6 +791,30 @@ mod tests {
     }
 
     #[test]
+    fn parse_rejects_sealed_names_outside_their_point() {
+        let manifest = |name: &str| {
+            format!(
+                "{{\"seq\":0,\"ev\":\"intent\",\"schema\":\"{MANIFEST_SCHEMA}\",\"run\":\"r\",\"ids\":[\"table2\"],\"seed\":0,\"trace\":false}}\n\
+                 {{\"seq\":1,\"ev\":\"point-begin\",\"id\":\"table2\"}}\n\
+                 {{\"seq\":2,\"ev\":\"artifact-sealed\",\"id\":\"table2\",\"dir\":\"out\",\"name\":{name:?},\"crc\":\"000000ab\",\"bytes\":10}}\n"
+            )
+        };
+        assert_eq!(
+            parse_manifest(&manifest("table2.json")).unwrap().points["table2"].sealed[0].name,
+            "table2.json"
+        );
+        // Resume joins sealed names to a run directory: a path out of
+        // it, or another experiment's file, is a malformed line.
+        for bad in ["../A/table2.json", "/etc/hostname", "fig5.json", "table2"] {
+            let err = parse_manifest(&manifest(bad)).unwrap_err();
+            assert!(
+                err.starts_with("manifest line 3: sealed name"),
+                "{bad}: {err}"
+            );
+        }
+    }
+
+    #[test]
     fn disposition_requires_complete_and_clean() {
         let dir = std::env::temp_dir().join(format!("hprc-dispo-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
@@ -835,7 +882,7 @@ mod tests {
                 .iter()
                 .map(|id| crate::experiment_ctx(id, 0, 1, true, hprc_obs::DeltaCache::disabled()))
                 .collect();
-            let mpath = manifest_path(&out, "run");
+            let mpath = manifest_path(&out, "run").unwrap();
             let mut manifest = Manifest::create(&mpath, None).unwrap();
             manifest.intent("run", &ids, 0, true).unwrap();
             let failures = run_and_commit(

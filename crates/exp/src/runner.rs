@@ -1,37 +1,37 @@
 //! Deterministic parallel sweep runner.
 //!
-//! Experiments fan out over independent indices (sweep points, seeds,
-//! experiment ids). [`par_indexed`] runs such a fan-out across up to
-//! `ctx.jobs` worker threads while keeping every observable output —
-//! return values, RNG streams, and merged metrics — byte-identical to
-//! the serial run:
+//! Experiments and fleets fan out over independent indices (sweep
+//! points, seeds, fleet nodes). [`par_indexed`] is the one fan-out:
+//! it runs such a fan-out across up to `ctx.jobs` worker threads while
+//! keeping every observable output — return values, RNG streams,
+//! merged metrics and journals — byte-identical to the serial run:
 //!
 //! * each index gets its own child context ([`ExecCtx::child`]): a
-//!   derived seed (`base ⊕ index`) and a private registry shard
-//!   ([`hprc_obs::ShardedRegistry`]), so no instrument cell is ever
-//!   shared between two workers while the fan-out runs;
+//!   derived seed (`base ⊕ index`), a private registry and a re-salted
+//!   child journal, so no instrument cell or journal is ever shared
+//!   between two workers while the fan-out runs;
 //! * workers pull indices from a shared dispenser (dynamic load
 //!   balancing — cheap points don't serialize behind expensive ones);
-//! * results are reassembled in index order, and the shards are merged
-//!   into `ctx.registry` in shard-index order
-//!   ([`hprc_obs::ShardedRegistry::merge`]), which reproduces the
-//!   serial recording order exactly.
+//! * results are reassembled in index order, and the children's
+//!   registries and journals are merged into `ctx` in index order
+//!   ([`Registry::merge_from`](hprc_obs::Registry::merge_from),
+//!   [`Journal::merge_from`](hprc_obs::Journal::merge_from)), which
+//!   reproduces the serial recording order exactly.
 //!
 //! The upshot: `--jobs N` changes wall-clock time only, never results.
 
 use hprc_ctx::ExecCtx;
-use hprc_obs::ShardedRegistry;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 
 /// Runs `f(index, child_ctx)` for every `index in 0..n`, using up to
 /// `ctx.jobs` threads, and returns the results in index order.
 ///
-/// Each invocation receives its own child context (derived seed,
-/// private registry, `jobs = 1` so nested fan-outs stay serial); after
-/// all indices complete, the children's registries are merged into
-/// `ctx.registry` in index order. With `ctx.jobs == 1` (or `n <= 1`)
-/// everything runs on the calling thread with no thread overhead.
+/// Each invocation receives its own child context ([`ExecCtx::child`]:
+/// derived seed, private registry and journal, `jobs = 1` so nested
+/// fan-outs stay serial); after all indices complete, the children's
+/// registries and journals are merged into `ctx` in index order. With
+/// `ctx.jobs == 1` (or `n <= 1`) everything runs on the calling thread
+/// with no thread overhead.
 ///
 /// # Panics
 ///
@@ -41,11 +41,11 @@ where
     T: Send,
     F: Fn(usize, &ExecCtx) -> T + Sync,
 {
-    // Single-point fan-outs skip the shard-and-merge machinery: the
-    // child still gets index 0's derived seed and journal salt (so a
-    // 1-point sweep reproduces the first point of an n-point sweep
-    // byte-for-byte), but records straight into the parent registry —
-    // merging one shard in order is the identity.
+    // Single-point fan-outs skip the merge: the child still gets index
+    // 0's derived seed and journal salt (so a 1-point sweep reproduces
+    // the first point of an n-point sweep byte-for-byte), but records
+    // straight into the parent registry — merging one child registry
+    // in order is the identity.
     if n == 1 {
         let child = ctx.child(0).with_registry(ctx.registry.clone());
         let out = vec![f(0, &child)];
@@ -53,51 +53,41 @@ where
         return out;
     }
 
-    let jobs = ctx.effective_jobs().min(n.max(1));
-    let shards = ShardedRegistry::new(&ctx.registry, n);
-    let children: Vec<ExecCtx> = (0..n)
-        .map(|i| ctx.child(i).with_registry(shards.shard(i).clone()))
-        .collect();
-
-    let mut results: Vec<Option<T>> = if jobs <= 1 {
-        children
-            .iter()
-            .enumerate()
-            .map(|(i, child)| Some(f(i, child)))
-            .collect()
-    } else {
-        let mut slots: Vec<Option<T>> = Vec::with_capacity(n);
-        slots.resize_with(n, || None);
-        let slots = Mutex::new(slots);
-        let next = AtomicUsize::new(0);
-        let f = &f;
-        let children = &children;
-        crossbeam::thread::scope(|s| {
-            for _ in 0..jobs {
-                s.spawn(|_| loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= n {
-                        break;
-                    }
-                    let value = f(i, &children[i]);
-                    slots.lock().expect("runner slots lock")[i] = Some(value);
-                });
+    let children: Vec<ExecCtx> = (0..n).map(|i| ctx.child(i)).collect();
+    let next = AtomicUsize::new(0);
+    // One worker's share: the indices it pulled, with their results.
+    let work = || {
+        let mut mine = Vec::new();
+        loop {
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            if i >= n {
+                return mine;
             }
-        })
-        .expect("runner scope");
-        slots.into_inner().expect("runner slots lock")
+            mine.push((i, f(i, &children[i])));
+        }
     };
+    let jobs = ctx.effective_jobs().min(n);
+    let mut results = if jobs <= 1 {
+        work()
+    } else {
+        crossbeam::thread::scope(|s| {
+            let workers: Vec<_> = (0..jobs).map(|_| s.spawn(|_| work())).collect();
+            workers
+                .into_iter()
+                .flat_map(|w| w.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
+                .collect::<Vec<_>>()
+        })
+        .expect("runner scope")
+    };
+    results.sort_unstable_by_key(|&(i, _)| i);
 
-    // Index-ordered merge reproduces the serial instrument state — for
-    // the sharded registry and the per-child journals alike.
-    shards.merge(&ctx.registry);
+    // Index-ordered merge reproduces the serial instrument state and
+    // journal.
     for child in &children {
+        ctx.registry.merge_from(&child.registry);
         ctx.journal.merge_from(&child.journal);
     }
-    results
-        .iter_mut()
-        .map(|slot| slot.take().expect("every index completed"))
-        .collect()
+    results.into_iter().map(|(_, value)| value).collect()
 }
 
 #[cfg(test)]

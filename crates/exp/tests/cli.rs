@@ -288,3 +288,48 @@ fn fig9a_journal_is_byte_identical_across_jobs_via_cli() {
     let _ = std::fs::remove_dir_all(&d1);
     let _ = std::fs::remove_dir_all(&d4);
 }
+
+#[test]
+fn run_ids_with_a_slash_are_refused_before_anything_is_written() {
+    let dir = tmp_dir("run-id");
+    let sub = dir.join("sub");
+    std::fs::create_dir_all(&sub).unwrap();
+    let run = Command::new(exe())
+        .args(["--run-id", "r", "--out"])
+        .arg(&dir)
+        .arg("table2")
+        .output()
+        .expect("run table2");
+    assert!(
+        run.status.success(),
+        "{}",
+        String::from_utf8_lossy(&run.stderr)
+    );
+    let manifest = std::fs::read(dir.join("r.manifest.jsonl")).unwrap();
+
+    // `sub/../r` names the manifest above; neither the run nor resume
+    // may reach it through the run id.
+    for args in [
+        &["resume", "../r", "--out"][..],
+        &["--run-id", "../r", "table2", "--out"][..],
+    ] {
+        let out = Command::new(exe())
+            .args(args)
+            .arg(&sub)
+            .output()
+            .expect("run hprc-exp");
+        assert_eq!(out.status.code(), Some(1), "{args:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains("run id must be a non-empty name without '/'"),
+            "{args:?}: {stderr}"
+        );
+        assert_eq!(std::fs::read_dir(&sub).unwrap().count(), 0, "{args:?}");
+        assert_eq!(
+            std::fs::read(dir.join("r.manifest.jsonl")).unwrap(),
+            manifest,
+            "{args:?}"
+        );
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}

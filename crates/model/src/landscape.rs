@@ -2,8 +2,8 @@
 //!
 //! Figure 5 shows one-dimensional slices; design work wants the whole
 //! surface — e.g. "how much hit ratio do I need at this task size to
-//! reach 10×?". Grids are evaluated in parallel (crossbeam scoped
-//! threads, one band of rows per thread).
+//! reach 10×?". A grid is a few hundred closed-form Eq (7) evaluations,
+//! computed serially in row-major order.
 
 use serde::{Deserialize, Serialize};
 
@@ -77,32 +77,15 @@ pub fn compute(base: NormalizedTimes, x_axis: Axis, h_axis: Axis) -> Result<Land
             )));
         }
     }
-    let ncols = x_task.len();
-    let mut values = vec![0.0f64; ncols * hit_ratio.len()];
-    let nthreads = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-        .min(hit_ratio.len().max(1));
-    let rows_per_band = hit_ratio.len().div_ceil(nthreads);
-
-    crossbeam::thread::scope(|s| {
-        for (band_idx, band) in values.chunks_mut(rows_per_band * ncols).enumerate() {
-            let x_task = &x_task;
-            let hit_ratio = &hit_ratio;
-            s.spawn(move |_| {
-                let row0 = band_idx * rows_per_band;
-                for (i, v) in band.iter_mut().enumerate() {
-                    let r = row0 + i / ncols;
-                    let c = i % ncols;
-                    let mut times = base;
-                    times.x_task = x_task[c];
-                    let p = ModelParams::new(times, hit_ratio[r], 1).expect("axes validated");
-                    *v = asymptotic_speedup(&p);
-                }
-            });
-        }
-    })
-    .expect("landscape worker panicked");
+    let values = hit_ratio
+        .iter()
+        .flat_map(|&h| {
+            x_task.iter().map(move |&x| {
+                let times = NormalizedTimes { x_task: x, ..base };
+                asymptotic_speedup(&ModelParams::new(times, h, 1).expect("axes validated"))
+            })
+        })
+        .collect();
 
     Ok(Landscape {
         x_task,
@@ -150,7 +133,7 @@ mod tests {
     }
 
     #[test]
-    fn parallel_matches_sequential_evaluation() {
+    fn grid_matches_pointwise_evaluation() {
         let l = grid();
         for (r, &h) in l.hit_ratio.iter().enumerate() {
             for (c, &x) in l.x_task.iter().enumerate() {

@@ -19,9 +19,9 @@
 //! * [`mod@speedup`] — finite (eq. 6) and asymptotic (eq. 7) speedup;
 //! * [`bounds`] — the headline bounds (≤ 2× for `X_task ≥ 1`; `1 + 1/X_PRTR`
 //!   peak at `X_task = X_PRTR` for `H = 0`), suprema;
-//! * [`sweep`] — (parallel) parameter sweeps generating Figure 5 / Figure 9
-//!   curve families;
-//! * [`landscape`] — parallel 2-D `S∞(X_task, H)` surfaces and contours;
+//! * [`sweep`] — parameter sweeps generating Figure 5 / Figure 9 curve
+//!   families;
+//! * [`landscape`] — 2-D `S∞(X_task, H)` surfaces and contours;
 //! * [`fit`] — recovering `(X_PRTR, H)` from measured speedup points;
 //! * [`hybrid`] — the hardware/software mixed-workload extension
 //!   (Amdahl-style dilution; the paper's deferred software-task case);

@@ -1,8 +1,9 @@
 //! Parameter sweeps over the analytical model, producing the curve families
 //! plotted in Figure 5 and overlaid on Figure 9.
 //!
-//! Sweeps over many grid points are embarrassingly parallel; large grids are
-//! evaluated on a crossbeam scoped-thread pool, chunked by rows.
+//! A sweep is a few thousand closed-form Eq (7) evaluations (Figure 5's
+//! family is 20 curves × 600 points), so it runs serially on the calling
+//! thread: the experiment's `--jobs` budget is spent by its own runner.
 
 use serde::{Deserialize, Serialize};
 
@@ -85,7 +86,8 @@ impl Curve {
 /// combination — exactly the family of curves shown in Figure 5.
 ///
 /// `base` supplies `X_control`/`X_decision` (Figure 5 uses zero for both).
-/// Combinations are evaluated in parallel with scoped threads.
+/// Curves come back `H`-major: every `X_PRTR` of the first hit ratio, then
+/// of the next.
 pub fn figure5_family(
     base: NormalizedTimes,
     hit_ratios: &[f64],
@@ -93,47 +95,25 @@ pub fn figure5_family(
     x_task_axis: Axis,
 ) -> Result<Vec<Curve>, ModelError> {
     let xs = x_task_axis.samples()?;
-    let combos: Vec<(f64, f64)> = hit_ratios
+    Ok(hit_ratios
         .iter()
         .flat_map(|&h| x_prtrs.iter().map(move |&p| (h, p)))
-        .collect();
-
-    let mut curves: Vec<Option<Curve>> = vec![None; combos.len()];
-    let nthreads = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-        .min(combos.len().max(1));
-    let chunk = combos.len().div_ceil(nthreads);
-
-    crossbeam::thread::scope(|s| {
-        for (slot_chunk, combo_chunk) in curves.chunks_mut(chunk).zip(combos.chunks(chunk)) {
-            let xs = &xs;
-            s.spawn(move |_| {
-                for (slot, &(h, p)) in slot_chunk.iter_mut().zip(combo_chunk) {
-                    let mut times = base;
-                    times.x_prtr = p;
-                    let points = xs
-                        .iter()
-                        .map(|&x| {
-                            times.x_task = x;
-                            let params = ModelParams::new(times, h, 1)
-                                .expect("sweep parameters validated by axis");
-                            (x, asymptotic_speedup(&params))
-                        })
-                        .collect();
-                    *slot = Some(Curve {
-                        label: format!("H={h}, X_PRTR={p}"),
-                        points,
-                    });
-                }
-            });
-        }
-    })
-    .expect("sweep worker panicked");
-
-    Ok(curves
-        .into_iter()
-        .map(|c| c.expect("all slots filled"))
+        .map(|(h, p)| {
+            let mut times = NormalizedTimes { x_prtr: p, ..base };
+            let points = xs
+                .iter()
+                .map(|&x| {
+                    times.x_task = x;
+                    let params =
+                        ModelParams::new(times, h, 1).expect("sweep parameters validated by axis");
+                    (x, asymptotic_speedup(&params))
+                })
+                .collect();
+            Curve {
+                label: format!("H={h}, X_PRTR={p}"),
+                points,
+            }
+        })
         .collect())
 }
 

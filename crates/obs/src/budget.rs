@@ -1,10 +1,11 @@
 //! Deterministic per-run resource budgets.
 //!
 //! A [`RunBudget`] bounds how much *simulated* work one run may perform:
-//! a maximum number of charged events (calls, quanta) and/or a maximum
-//! amount of simulated time. Exhaustion is a pure function of the charge
-//! sequence — every charge advances a logical sequence number, and the
-//! first refused charge pins [`cutoff_seq`](RunBudget::cutoff_seq) — so
+//! a maximum number of charged events (calls, quanta, periodic tasks),
+//! charged through [`RunBudget::admit`]. Exhaustion is a pure function
+//! of the charge sequence — every charged step advances a logical
+//! sequence number, and the first refused step pins
+//! [`cutoff_seq`](RunBudget::cutoff_seq) — so
 //! a budget-capped run cuts off at the *same* logical sequence number on
 //! every rerun, at any `--jobs`. Work refused after the cutoff is
 //! tallied as `would_have_run`, the honesty counter that lets a capped
@@ -32,12 +33,8 @@ use serde::Serialize;
 pub struct BudgetAccount {
     /// Event cap, if one was set (summed across merged accounts).
     pub max_events: Option<u64>,
-    /// Simulated-time cap in nanoseconds, if one was set (summed).
-    pub max_sim_ns: Option<u64>,
     /// Events actually charged.
     pub charged_events: u64,
-    /// Simulated nanoseconds actually charged.
-    pub charged_sim_ns: u64,
     /// Events refused after exhaustion — the work a capped run skipped.
     pub would_have_run: u64,
     /// Logical sequence number of the first refused charge, if the
@@ -54,14 +51,11 @@ impl BudgetAccount {
     /// split fan-out): caps and charges add, `cutoff_seq` keeps the
     /// earliest, `runs_cut` counts every exhausted shard.
     pub fn absorb(&mut self, other: &BudgetAccount) {
-        let add_opt = |a: Option<u64>, b: Option<u64>| match (a, b) {
+        self.max_events = match (self.max_events, other.max_events) {
             (None, None) => None,
             (x, y) => Some(x.unwrap_or(0) + y.unwrap_or(0)),
         };
-        self.max_events = add_opt(self.max_events, other.max_events);
-        self.max_sim_ns = add_opt(self.max_sim_ns, other.max_sim_ns);
         self.charged_events += other.charged_events;
-        self.charged_sim_ns += other.charged_sim_ns;
         self.would_have_run += other.would_have_run;
         self.cutoff_seq = match (self.cutoff_seq, other.cutoff_seq) {
             (Some(a), Some(b)) => Some(a.min(b)),
@@ -73,30 +67,11 @@ impl BudgetAccount {
 
 #[derive(Debug)]
 struct BudgetState {
-    max_events: Option<u64>,
-    max_sim_ns: Option<u64>,
+    max_events: u64,
     charged_events: u64,
-    charged_sim_ns: u64,
     would: u64,
     seq: u64,
     cutoff_seq: Option<u64>,
-}
-
-impl BudgetState {
-    fn fits(&self, events: u64, sim_ns: u64) -> bool {
-        self.max_events
-            .is_none_or(|m| self.charged_events + events <= m)
-            && self
-                .max_sim_ns
-                .is_none_or(|m| self.charged_sim_ns + sim_ns <= m)
-    }
-
-    fn refuse(&mut self, events: u64) {
-        if self.cutoff_seq.is_none() {
-            self.cutoff_seq = Some(self.seq);
-        }
-        self.would += events;
-    }
 }
 
 /// Handle to a deterministic run budget (or the free unlimited
@@ -111,38 +86,15 @@ impl RunBudget {
         RunBudget(None)
     }
 
-    fn limited(max_events: Option<u64>, max_sim_ns: Option<u64>) -> Self {
+    /// A budget capped at `max` charged events.
+    pub fn events(max: u64) -> Self {
         RunBudget(Some(Arc::new(Mutex::new(BudgetState {
-            max_events,
-            max_sim_ns,
+            max_events: max,
             charged_events: 0,
-            charged_sim_ns: 0,
             would: 0,
             seq: 0,
             cutoff_seq: None,
         }))))
-    }
-
-    /// A budget capped at `max` charged events.
-    pub fn events(max: u64) -> Self {
-        Self::limited(Some(max), None)
-    }
-
-    /// A budget capped at `max` simulated nanoseconds.
-    pub fn sim_ns(max: u64) -> Self {
-        Self::limited(None, Some(max))
-    }
-
-    /// Adds (or replaces) a simulated-time cap on this budget.
-    #[must_use]
-    pub fn with_max_sim_ns(self, max: u64) -> Self {
-        match self.0 {
-            Some(cell) => {
-                cell.lock().max_sim_ns = Some(max);
-                RunBudget(Some(cell))
-            }
-            None => Self::sim_ns(max),
-        }
     }
 
     /// Whether this handle enforces any cap.
@@ -164,31 +116,12 @@ impl RunBudget {
             .collect()
     }
 
-    /// Charges `events` events and `sim_ns` simulated nanoseconds as
-    /// one atomic step. Advances the logical sequence number by one;
-    /// returns `false` (charging nothing, tallying `events` as
-    /// would-have-run) when the charge does not fit. Unlimited budgets
-    /// always return `true`.
-    pub fn try_charge(&self, events: u64, sim_ns: u64) -> bool {
-        let Some(cell) = &self.0 else {
-            return true;
-        };
-        let mut s = cell.lock();
-        s.seq += 1;
-        if s.fits(events, sim_ns) {
-            s.charged_events += events;
-            s.charged_sim_ns += sim_ns;
-            true
-        } else {
-            s.refuse(events);
-            false
-        }
-    }
-
-    /// Charges up to `n` single-event steps and returns how many were
-    /// admitted; the refused tail is tallied as would-have-run. This is
-    /// the hook for call/quantum loops: run the first `admit(n)` units,
-    /// skip the rest.
+    /// Charges up to `n` single-event steps, each advancing the logical
+    /// sequence number by one, and returns how many were admitted; the
+    /// refused tail is tallied as would-have-run, and the first refused
+    /// step pins the cutoff. This is the one charge hook, for call,
+    /// quantum and task loops: run the first `admit(n)` units, skip the
+    /// rest.
     pub fn admit(&self, n: usize) -> usize {
         let Some(cell) = &self.0 else {
             return n;
@@ -197,23 +130,15 @@ impl RunBudget {
         let mut admitted = 0usize;
         for _ in 0..n {
             s.seq += 1;
-            if s.fits(1, 0) {
+            if s.charged_events < s.max_events {
                 s.charged_events += 1;
                 admitted += 1;
             } else {
-                s.refuse(1);
+                s.cutoff_seq = s.cutoff_seq.or(Some(s.seq));
+                s.would += 1;
             }
         }
         admitted
-    }
-
-    /// Tallies `events` events as would-have-run without advancing the
-    /// sequence number — for work skipped wholesale because the budget
-    /// was already known to be exhausted.
-    pub fn forfeit(&self, events: u64) {
-        if let Some(cell) = &self.0 {
-            cell.lock().would += events;
-        }
     }
 
     /// True once any charge has been refused.
@@ -233,10 +158,8 @@ impl RunBudget {
         let cell = self.0.as_ref()?;
         let s = cell.lock();
         Some(BudgetAccount {
-            max_events: s.max_events,
-            max_sim_ns: s.max_sim_ns,
+            max_events: Some(s.max_events),
             charged_events: s.charged_events,
-            charged_sim_ns: s.charged_sim_ns,
             would_have_run: s.would,
             cutoff_seq: s.cutoff_seq,
             runs_cut: u64::from(s.cutoff_seq.is_some()),
@@ -252,7 +175,6 @@ mod tests {
     fn unlimited_is_free_and_always_admits() {
         let b = RunBudget::unlimited();
         assert!(!b.is_limited());
-        assert!(b.try_charge(1_000_000, 1_000_000));
         assert_eq!(b.admit(12345), 12345);
         assert!(!b.exhausted());
         assert_eq!(b.cutoff_seq(), None);
@@ -274,19 +196,6 @@ mod tests {
         assert_eq!(acct.runs_cut, 1);
         // Reruns cut at the same logical sequence number.
         assert_eq!(run(), (admitted, cutoff, acct));
-    }
-
-    #[test]
-    fn sim_time_budget_refuses_overflow_atomically() {
-        let b = RunBudget::sim_ns(100);
-        assert!(b.try_charge(1, 60));
-        assert!(!b.try_charge(1, 60), "60 + 60 > 100");
-        assert!(b.try_charge(1, 40), "a smaller charge still fits");
-        let acct = b.account().unwrap();
-        assert_eq!(acct.charged_sim_ns, 100);
-        assert_eq!(acct.charged_events, 2);
-        assert_eq!(acct.would_have_run, 1);
-        assert_eq!(acct.cutoff_seq, Some(2));
     }
 
     #[test]
@@ -314,25 +223,14 @@ mod tests {
         let shards = RunBudget::split_events(4, 2);
         shards[0].admit(5); // cap 2: cut at seq 3
         shards[1].admit(2); // cap 2: never cut
-        shards[1].forfeit(7);
         let mut total = BudgetAccount::default();
         for s in &shards {
             total.absorb(&s.account().unwrap());
         }
         assert_eq!(total.max_events, Some(4));
         assert_eq!(total.charged_events, 4);
-        assert_eq!(total.would_have_run, 3 + 7);
+        assert_eq!(total.would_have_run, 3);
         assert_eq!(total.cutoff_seq, Some(3));
         assert_eq!(total.runs_cut, 1);
-    }
-
-    #[test]
-    fn with_max_sim_ns_composes_with_an_event_cap() {
-        let b = RunBudget::events(10).with_max_sim_ns(50);
-        assert!(b.try_charge(1, 50));
-        assert!(!b.try_charge(1, 1), "time cap binds before the event cap");
-        let acct = b.account().unwrap();
-        assert_eq!(acct.max_events, Some(10));
-        assert_eq!(acct.max_sim_ns, Some(50));
     }
 }

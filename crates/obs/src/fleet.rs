@@ -9,8 +9,7 @@
 //! journal is kept live and merged into the cluster journal, bounding
 //! journal growth to O(racks) while still giving every rack a causal
 //! sample. Per-node registries need no rack level: they merge flat, in
-//! node-index order
-//! ([`ShardedRegistry::merge`](crate::ShardedRegistry::merge)).
+//! node-index order ([`Registry::merge_from`](crate::Registry::merge_from)).
 
 /// The node/rack shape of one fleet run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

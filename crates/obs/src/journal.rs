@@ -13,12 +13,11 @@
 //!
 //! Every span/event id is `mix(salt, seq)` where `mix` is the
 //! splitmix64 finalizer, `salt` comes from the deterministic ctx seed,
-//! and `seq` is a logical counter that advances once per id handed out
-//! (even when a budget drops the record's storage — ids are part of
-//! the causal structure, storage is an accounting concern). Child
-//! journals ([`Journal::child`]) re-salt by index so parallel shards
-//! mint non-colliding ids; the parent merges shard records back in
-//! index order, which is what makes the log `--jobs`-invariant.
+//! and `seq` is a logical counter that advances once per id handed out.
+//! Child journals ([`Journal::child`]) re-salt by index so the children
+//! of a parallel fan-out mint non-colliding ids; the parent merges
+//! their records back in index order, which is what makes the log
+//! `--jobs`-invariant.
 //!
 //! # Fast-path replay
 //!
@@ -173,7 +172,6 @@ impl<N> JournalRecord<N> {
 pub struct JournalMark {
     /// Literal records stored before the mark.
     start: usize,
-    would: u64,
 }
 
 /// One fast-path jump, stored in place of its copies: `times` copies of
@@ -273,12 +271,9 @@ fn expand<N: Copy>(
 struct State {
     salt: u64,
     seq: u64,
-    budget: Option<u64>,
-    /// Records *offered* (stored or dropped by the budget).
-    would: u64,
     /// Records stored, counting every copy a repeat stands for.
     stored: u64,
-    /// Latest simulated time seen on any offered record.
+    /// Latest simulated time seen on any record.
     max_t_ns: u64,
     /// The literal records, in order.
     records: Vec<JournalRecord>,
@@ -296,14 +291,7 @@ impl State {
         id
     }
 
-    /// Records the budget still has room to store.
-    fn room(&self) -> u64 {
-        self.budget
-            .map_or(u64::MAX, |b| b.saturating_sub(self.stored))
-    }
-
     fn offer(&mut self, rec: JournalRecord) {
-        self.would += 1;
         if let Some(t) = rec.t_ns() {
             if t > self.max_t_ns {
                 self.max_t_ns = t;
@@ -312,44 +300,19 @@ impl State {
         self.push_records(&[rec]);
     }
 
-    /// Stores as many of `recs` as the budget has room for.
     fn push_records(&mut self, recs: &[JournalRecord]) {
-        let take = (recs.len() as u64).min(self.room()) as usize;
-        self.records.extend_from_slice(&recs[..take]);
-        self.stored += take as u64;
+        self.records.extend_from_slice(recs);
+        self.stored += recs.len() as u64;
     }
 
-    /// Stores `rep`, cut to the budget's room: its whole copies that
-    /// fit, then, if the cut falls inside a copy, one copy of the prefix
-    /// of its block that still fits. So a budget keeps exactly the
-    /// longhand prefix. `rep`'s block must be stored whenever there is
-    /// room: a cut stops all later storage.
+    /// Stores `rep`; a repeat of no copies or of an empty block stores
+    /// nothing.
     fn push_repeat(&mut self, rep: Repeat) {
-        let (len, room) = (rep.len as u64, self.room());
-        if len == 0 || room == 0 {
+        if rep.len == 0 || rep.times == 0 {
             return;
         }
-        let whole = rep.times.min(room / len);
-        if whole > 0 {
-            self.repeats.push(Repeat {
-                times: whole,
-                ..rep
-            });
-            self.stored += whole * len;
-        }
-        let part = (room - whole * len).min(len) as usize;
-        if whole < rep.times && part > 0 {
-            let block = &self.records[rep.start..rep.start + rep.len];
-            let mints = block.iter().filter(|r| r.mints()).count() as u64;
-            self.repeats.push(Repeat {
-                len: part,
-                times: 1,
-                shift_ns: (whole + 1).saturating_mul(rep.shift_ns),
-                seq: rep.seq + whole * mints,
-                ..rep
-            });
-            self.stored += part as u64;
-        }
+        self.repeats.push(rep);
+        self.stored += rep.times * rep.len as u64;
     }
 }
 
@@ -372,8 +335,6 @@ impl Journal {
         Journal(Some(Arc::new(Mutex::new(State {
             salt,
             seq: 0,
-            budget: None,
-            would: 0,
             stored: 0,
             max_t_ns: 0,
             records: Vec::new(),
@@ -381,19 +342,6 @@ impl Journal {
             stack: Vec::new(),
             budget_account: None,
         }))))
-    }
-
-    /// Caps *storage* at `budget` records, counting every copy a repeat
-    /// stands for. Ids keep advancing past the cutoff (they are causal
-    /// structure, not storage), and the account line reports the
-    /// overflow as `dropped`. A cut inside a fast-path jump truncates
-    /// its repeat, so the stored records are the longhand prefix. A
-    /// budgeted journal forfeits the byte-identical replay guarantee.
-    pub fn with_budget(self, budget: u64) -> Self {
-        if let Some(cell) = &self.0 {
-            cell.lock().budget = Some(budget);
-        }
-        self
     }
 
     /// Whether records are being collected.
@@ -541,7 +489,6 @@ impl Journal {
                 let s = cell.lock();
                 JournalMark {
                     start: s.records.len(),
-                    would: s.would,
                 }
             }
             None => JournalMark::default(),
@@ -555,7 +502,7 @@ impl Journal {
     /// counter — and remap references *inside* the copied block to the
     /// copy's ids, while references to records outside the block (e.g.
     /// the enclosing run span) pass through unchanged. The counters
-    /// advance as if every copy had been offered. This is the fast-path
+    /// advance as if every copy had been logged. This is the fast-path
     /// executors' journal dual of their timeline `push_repeat`.
     ///
     /// # Panics
@@ -585,9 +532,6 @@ impl Journal {
             salt: s.salt,
             seq: s.seq,
         };
-        // Every copy offers what the reference path would, including
-        // the offers a budget suppressed from the block.
-        s.would += times * (s.would - mark.would);
         s.seq += times * mints;
         if let Some(t) = last_t {
             s.max_t_ns = s.max_t_ns.max(t + times.saturating_mul(shift_ns));
@@ -597,8 +541,8 @@ impl Journal {
 
     /// Appends a child journal's records and repeats (index-order merge
     /// after a parallel fan-out), rebasing each repeat onto the parent's
-    /// records. The child's offer/time accounting folds into the
-    /// parent's; the parent's budget still caps storage.
+    /// records. The child's simulated-time accounting folds into the
+    /// parent's.
     pub fn merge_from(&self, child: &Journal) {
         let (Some(cell), Some(ccell)) = (self.0.as_ref(), child.0.as_ref()) else {
             return;
@@ -606,12 +550,11 @@ impl Journal {
         if Arc::ptr_eq(cell, ccell) {
             return;
         }
-        let (recs, reps, cwould, cmax) = {
+        let (recs, reps, cmax) = {
             let c = ccell.lock();
-            (c.records.clone(), c.repeats.clone(), c.would, c.max_t_ns)
+            (c.records.clone(), c.repeats.clone(), c.max_t_ns)
         };
         let mut s = cell.lock();
-        s.would += cwould;
         if cmax > s.max_t_ns {
             s.max_t_ns = cmax;
         }
@@ -645,10 +588,12 @@ impl Journal {
     /// ([`JOURNAL_SCHEMA`]): a header line, one line per literal record,
     /// one `repeat` line per fast-path jump, and a resource-accounting
     /// footer (`events` stored, counting every copy a repeat stands for;
-    /// `dropped` by the budget; `bytes` of everything above the footer;
+    /// `dropped`, always 0 since the journal keeps every record, kept so
+    /// v2 readers find the key; `bytes` of everything above the footer;
     /// `sim_ns` — the latest simulated time touched — and, when a
     /// [`BudgetAccount`] is attached, a nested `budget` object with the
-    /// run-budget caps, charges, would-have-run tally, and cutoff).
+    /// run-budget cap, charges, would-have-run tally, and cutoff, whose
+    /// `max_sim_ns` and `charged_sim_ns` keys are always `null` and 0).
     ///
     /// A `repeat` line is self-contained:
     /// `{"ev":"repeat","from":F,"len":L,"times":K,"shift_ns":D,"salt":S,"seq":Q}`
@@ -660,16 +605,15 @@ impl Journal {
     /// writes the copies out.
     pub fn to_jsonl(&self, experiment: &str, seed: u64) -> String {
         let guard = self.0.as_ref().map(|cell| cell.lock());
-        let (records, repeats, stored, would, max_t, budget) = match &guard {
+        let (records, repeats, stored, max_t, budget) = match &guard {
             Some(s) => (
                 &s.records[..],
                 &s.repeats[..],
                 s.stored,
-                s.would,
                 s.max_t_ns,
                 s.budget_account,
             ),
-            None => (&[][..], &[][..], 0, 0, 0, None),
+            None => (&[][..], &[][..], 0, 0, None),
         };
         let lines = records.len() + repeats.len();
         let mut out = String::with_capacity(256 + lines * JSONL_BYTES_PER_RECORD);
@@ -696,18 +640,15 @@ impl Journal {
         let bytes = out.len();
         let _ = write!(
             out,
-            r#"{{"account":{{"events":{stored},"dropped":{},"bytes":{bytes},"sim_ns":{max_t}"#,
-            would - stored
+            r#"{{"account":{{"events":{stored},"dropped":0,"bytes":{bytes},"sim_ns":{max_t}"#
         );
         if let Some(b) = budget {
             let opt = |v: Option<u64>| v.map_or("null".to_string(), |x| x.to_string());
             let _ = write!(
                 out,
-                r#","budget":{{"max_events":{},"max_sim_ns":{},"charged_events":{},"charged_sim_ns":{},"would_have_run":{},"cutoff_seq":{},"runs_cut":{}}}"#,
+                r#","budget":{{"max_events":{},"max_sim_ns":null,"charged_events":{},"charged_sim_ns":0,"would_have_run":{},"cutoff_seq":{},"runs_cut":{}}}"#,
                 opt(b.max_events),
-                opt(b.max_sim_ns),
                 b.charged_events,
-                b.charged_sim_ns,
                 b.would_have_run,
                 opt(b.cutoff_seq),
                 b.runs_cut
@@ -1355,33 +1296,6 @@ mod tests {
     }
 
     #[test]
-    fn budget_caps_storage_but_ids_keep_advancing() {
-        let j = Journal::new(3).with_budget(2);
-        let ids: Vec<_> = (0..5).map(|i| j.event("e", None, i, 0).unwrap()).collect();
-        let mut uniq = ids.clone();
-        uniq.dedup();
-        assert_eq!(uniq.len(), 5, "dropped offers still consume ids");
-        assert_eq!(j.records().len(), 2);
-        let text = j.to_jsonl("b", 0);
-        assert!(text.contains(r#""events":2,"dropped":3"#), "{text}");
-    }
-
-    #[test]
-    fn merge_from_fills_the_parent_budget_in_child_order() {
-        let parent = Journal::new(5).with_budget(6);
-        emit_call(&parent, 0);
-        let child = parent.child(0);
-        emit_call(&child, 10);
-        emit_call(&child, 20);
-        parent.merge_from(&child);
-        let recs = parent.records();
-        assert_eq!(recs.len(), 6);
-        assert_eq!(&recs[4..], &child.records()[..2]);
-        let text = parent.to_jsonl("m", 0);
-        assert!(text.contains(r#""events":6,"dropped":6"#), "{text}");
-    }
-
-    #[test]
     fn replay_cycle_matches_the_reference_emission() {
         let fast = Journal::new(9);
         let reference = Journal::new(9);
@@ -1444,33 +1358,6 @@ mod tests {
             expand_jsonl(&text),
             expand_jsonl(&reference.to_jsonl("x", 5))
         );
-    }
-
-    #[test]
-    fn a_budget_cut_inside_a_repeat_keeps_the_longhand_prefix() {
-        let all = {
-            let j = Journal::new(21);
-            jumping_family(&j, false);
-            j.records()
-        };
-        assert_eq!(all.len(), 42);
-        // Every cut: before, inside and between the parent's and both
-        // children's repeats, at and between copy boundaries.
-        for k in 0..=all.len() {
-            let fast = Journal::new(21).with_budget(k as u64);
-            let reference = Journal::new(21).with_budget(k as u64);
-            jumping_family(&fast, true);
-            jumping_family(&reference, false);
-            assert_eq!(fast.records(), all[..k].to_vec(), "budget {k}");
-            let text = fast.to_jsonl("x", 5);
-            let account = format!(r#""events":{k},"dropped":{}"#, all.len() - k);
-            assert!(text.contains(&account), "budget {k}: {text}");
-            assert_eq!(
-                expand_jsonl(&text),
-                expand_jsonl(&reference.to_jsonl("x", 5)),
-                "budget {k}"
-            );
-        }
     }
 
     #[test]
@@ -1672,9 +1559,7 @@ mod tests {
 
         j.set_budget_account(BudgetAccount {
             max_events: Some(8),
-            max_sim_ns: None,
             charged_events: 5,
-            charged_sim_ns: 900,
             would_have_run: 3,
             cutoff_seq: Some(6),
             runs_cut: 1,
@@ -1684,7 +1569,7 @@ mod tests {
         let footer = text.lines().last().unwrap();
         assert!(
             footer.contains(
-                r#""budget":{"max_events":8,"max_sim_ns":null,"charged_events":5,"charged_sim_ns":900,"would_have_run":3,"cutoff_seq":6,"runs_cut":1}"#
+                r#""budget":{"max_events":8,"max_sim_ns":null,"charged_events":5,"charged_sim_ns":0,"would_have_run":3,"cutoff_seq":6,"runs_cut":1}"#
             ),
             "{footer}"
         );

@@ -43,7 +43,6 @@ pub mod journal;
 pub mod manifest;
 pub mod metrics;
 pub mod registry;
-pub mod shard;
 pub mod span;
 
 pub use artifact::ArtifactState;
@@ -55,5 +54,4 @@ pub use journal::{expand_jsonl, Journal, JournalMark, JournalRecord, SpanId, JOU
 pub use manifest::{ArtifactDirKind, Manifest, MANIFEST_SCHEMA};
 pub use metrics::{Counter, Gauge, Histogram, HistogramSummary};
 pub use registry::{Registry, Snapshot};
-pub use shard::ShardedRegistry;
 pub use span::{Span, SpanRecord};

@@ -109,8 +109,8 @@ impl Registry {
     /// deterministic pass: counters add, gauges overwrite (last merge
     /// wins), histograms append their raw samples in recording order,
     /// and spans append with `start_us` re-based onto this registry's
-    /// epoch. Merging per-shard registries back in shard-index order
-    /// therefore reproduces the exact instrument state of an
+    /// epoch. Merging a fan-out's per-index registries back in index
+    /// order therefore reproduces the exact instrument state of an
     /// equivalent serial run (spans keep wall-clock timing, which is
     /// inherently nondeterministic).
     ///

@@ -512,15 +512,9 @@ pub fn simulate_preemptive(
     let js = j.enter("sched.simulate_preemptive", 0, 0);
     // Budget hook: each periodic task is one charged event, and the
     // refused tail of the task set is dropped whole — truncating at
-    // frame granularity would leave half-executed hyperperiods. The
-    // admitted run's simulated span is charged afterwards so sim-time
-    // budgets see preemptive work too.
+    // frame granularity would leave half-executed hyperperiods.
     let admitted = ctx.budget.admit(tasks.len());
     let outcome = simulate_preemptive_inner(&tasks[..admitted], n_slots, policy, costs, plan);
-    if ctx.budget.is_limited() {
-        let end_ns = outcome.jobs.iter().filter_map(|jb| jb.finish_ns).max();
-        ctx.budget.try_charge(0, end_ns.unwrap_or(0));
-    }
     record_preempt_outcome(registry, policy.name(), &outcome);
     j.metric("sched.preempt.jobs", outcome.stats.jobs);
     j.metric("sched.preempt.preemptions", outcome.stats.preemptions);

@@ -1,5 +1,7 @@
-//! Property tests for [`hprc_obs::ShardedRegistry`] merge semantics —
-//! the invariants the deterministic parallel runner leans on:
+//! Property tests for index-ordered [`Registry::merge_from`] over a set
+//! of per-index registries — the invariants the deterministic parallel
+//! runner (`par_indexed`, which merges its children's registries into
+//! the parent in index order) leans on:
 //!
 //! * counters add, so the merged totals are independent of which shard
 //!   a recording landed in (and of merge order);
@@ -16,7 +18,7 @@
 //! beyond the workspace defaults), while the root crate already links
 //! proptest.
 
-use hprc_obs::{Registry, ShardedRegistry};
+use hprc_obs::Registry;
 use proptest::prelude::*;
 use serde::Serialize;
 
@@ -64,6 +66,18 @@ fn permutation(n: usize, seed: u64) -> Vec<usize> {
     idx
 }
 
+/// `n` private registries, one per fan-out index.
+fn shards(n: usize) -> Vec<Registry> {
+    (0..n).map(|_| Registry::new()).collect()
+}
+
+/// Folds every shard into `parent` in index order.
+fn merge(shards: &[Registry], parent: &Registry) {
+    for shard in shards {
+        parent.merge_from(shard);
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -78,20 +92,20 @@ proptest! {
         let perm = permutation(ops.len(), seed);
 
         let forward = Registry::new();
-        let shards = ShardedRegistry::new(&forward, ops.len());
+        let set = shards(ops.len());
         for (i, op) in ops.iter().enumerate() {
-            record(shards.shard(i), i, op);
+            record(&set[i], i, op);
         }
-        shards.merge(&forward);
+        merge(&set, &forward);
 
         let permuted = Registry::new();
-        let shards = ShardedRegistry::new(&permuted, ops.len());
+        let set = shards(ops.len());
         for (slot, &src) in perm.iter().enumerate() {
             // Shard `slot` now holds what shard `src` held, but keeps
             // `src`'s gauge key so the gauge name set stays disjoint.
-            record(shards.shard(slot), src, &ops[src]);
+            record(&set[slot], src, &ops[src]);
         }
-        shards.merge(&permuted);
+        merge(&set, &permuted);
 
         let a = forward.snapshot();
         let b = permuted.snapshot();
@@ -123,13 +137,13 @@ proptest! {
         }
 
         let parent = Registry::new();
-        let shards = ShardedRegistry::new(&parent, ops.len());
+        let set = shards(ops.len());
         // Workers complete in an arbitrary order...
         for &i in &permutation(ops.len(), seed) {
-            record(shards.shard(i), i, &ops[i]);
+            record(&set[i], i, &ops[i]);
         }
         // ...but the merge barrier folds them in index order.
-        shards.merge(&parent);
+        merge(&set, &parent);
 
         let a = serial.snapshot().to_json_value();
         let b = parent.snapshot().to_json_value();
@@ -146,13 +160,13 @@ fn empty_shards_and_empty_sets_are_inert() {
     parent.histogram("h").record(1.0);
 
     // Zero shards: merge is a no-op.
-    ShardedRegistry::new(&parent, 0).merge(&parent);
+    merge(&shards(0), &parent);
 
     // Shards that recorded nothing (including one with an instrument
     // created but never bumped): still a no-op on counters/samples.
-    let shards = ShardedRegistry::new(&parent, 3);
-    let _ = shards.shard(1).histogram("h");
-    shards.merge(&parent);
+    let set = shards(3);
+    let _ = set[1].histogram("h");
+    merge(&set, &parent);
 
     let snap = parent.snapshot();
     assert_eq!(snap.counters["pre"], 7);
