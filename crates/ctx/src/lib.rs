@@ -50,8 +50,9 @@ use hprc_obs::{DeltaCache, Journal, Registry, RunBudget};
 /// no-op registry) — clones observe the same instruments.
 #[derive(Debug, Clone)]
 pub struct ExecCtx {
-    /// Metrics/span registry. [`Registry::noop`] (the default) makes
-    /// every instrumentation site a single branch.
+    /// Metrics registry: counters, gauges and histograms, no clock.
+    /// [`Registry::noop`] (the default) makes every instrumentation
+    /// site a single branch.
     pub registry: Registry,
     /// Causal run journal. [`Journal::noop`] (the default) makes every
     /// journaling site a single branch; a live journal records the

@@ -2,7 +2,6 @@
 //! recovers for modules that do not fill their PRR (real partial
 //! bitstreams are mostly zero frames for small cores).
 
-use hprc_ctx::ExecCtx;
 use hprc_fpga::bitstream::Bitstream;
 use hprc_fpga::compress::{compress, decompress};
 use hprc_fpga::floorplan::Floorplan;
@@ -27,8 +26,7 @@ struct Row {
 
 /// Sweeps the module fill fraction of a dual-layout PRR and reports the
 /// configuration-time and peak-speedup gains from compression.
-pub fn run(ctx: &ExecCtx) -> Report {
-    let _span = ctx.registry.span("exp.ext_compress");
+pub fn run() -> Report {
     let fp = Floorplan::xd1_dual_prr();
     let cols = fp.prrs[0].region.column_indices();
     let icap = IcapPath::xd1();
@@ -113,7 +111,7 @@ mod tests {
 
     #[test]
     fn sparse_modules_gain_dense_do_not() {
-        let r = run(&ExecCtx::default());
+        let r = run();
         let rows = r.json.as_array().unwrap();
         let first = &rows[0]; // empty region
         let last = rows.last().unwrap(); // fully filled
@@ -128,7 +126,7 @@ mod tests {
 
     #[test]
     fn ratios_decrease_with_fill() {
-        let r = run(&ExecCtx::default());
+        let r = run();
         let ratios: Vec<f64> = r
             .json
             .as_array()

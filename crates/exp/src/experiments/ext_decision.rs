@@ -2,7 +2,6 @@
 //! Figure 5 and notes nonzero overheads "will reduce the final
 //! performance"; this extension quantifies the erosion of the peak.
 
-use hprc_ctx::ExecCtx;
 use hprc_model::bounds::numeric_supremum;
 use hprc_model::params::{ModelParams, NormalizedTimes};
 use hprc_model::sensitivity::report as sensitivity_report;
@@ -28,8 +27,7 @@ struct Payload {
 
 /// Sweeps `X_decision` for the measured dual-PRR `X_PRTR = 0.0118` at
 /// `H = 0` and reports the surviving peak speedup.
-pub fn run(ctx: &ExecCtx) -> Report {
-    let _span = ctx.registry.span("exp.ext_decision");
+pub fn run() -> Report {
     let x_prtr = 19.77 / 1678.04;
     let x_decisions = [0.0, 1e-4, 1e-3, 5e-3, 0.0118, 0.05, 0.2];
     let base_peak = 1.0 + 1.0 / x_prtr;
@@ -123,7 +121,7 @@ mod tests {
 
     #[test]
     fn zero_decision_latency_recovers_closed_form() {
-        let r = run(&ExecCtx::default());
+        let r = run();
         let rows = r.json["rows"].as_array().unwrap();
         let first = &rows[0];
         assert_eq!(first["x_decision"].as_f64().unwrap(), 0.0);
@@ -134,7 +132,7 @@ mod tests {
 
     #[test]
     fn erosion_is_monotone_in_decision_latency() {
-        let r = run(&ExecCtx::default());
+        let r = run();
         let rows = r.json["rows"].as_array().unwrap();
         let mut prev = -1.0;
         for row in rows {
@@ -148,7 +146,7 @@ mod tests {
 
     #[test]
     fn decision_latency_hurts_locally() {
-        let r = run(&ExecCtx::default());
+        let r = run();
         let sens = r.json["sensitivities"].as_array().unwrap();
         let xd = sens
             .iter()

@@ -3,7 +3,6 @@
 //! relocation-based compaction (the subject of the paper's reference
 //! \[24\]) restores placeability at a measurable reconfiguration cost.
 
-use hprc_ctx::ExecCtx;
 use hprc_fpga::allocator::WindowAllocator;
 use hprc_fpga::device::{ColumnKind, Device};
 use hprc_sim::icap::IcapPath;
@@ -42,8 +41,7 @@ fn uniform_window(device: &Device) -> std::ops::Range<usize> {
 
 /// Runs a deterministic churn scenario: allocate a/b/c/d, free a and c,
 /// attempt a wide module (fails), defragment, retry (succeeds).
-pub fn run(ctx: &ExecCtx) -> Report {
-    let _span = ctx.registry.span("exp.ext_defrag");
+pub fn run() -> Report {
     let device = Device::xc2vp50();
     let mut alloc = WindowAllocator::new(&device, uniform_window(&device)).unwrap();
     let mut steps = Vec::new();
@@ -136,7 +134,7 @@ mod tests {
 
     #[test]
     fn defrag_unblocks_the_wide_module() {
-        let r = run(&ExecCtx::default());
+        let r = run();
         assert!(r.json["allocation_after_defrag"].as_bool().unwrap());
         assert!(r.json["defrag_moves"].as_u64().unwrap() >= 1);
         assert!(r.json["defrag_time_ms"].as_f64().unwrap() > 0.0);

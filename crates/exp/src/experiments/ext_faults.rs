@@ -112,7 +112,6 @@ fn seeds(ctx: &ExecCtx) -> (u64, u64) {
 /// `exp.ext_faults.min_availability` and
 /// `exp.ext_faults.max_blacklisted`.
 pub fn run_with_series(ctx: &ExecCtx) -> (Report, Series) {
-    let _span = ctx.registry.span("exp.ext_faults");
     let len = 1200;
     let (trace_seed, plan_seed) = seeds(ctx);
     let runs = par_indexed(RATES.len(), ctx, |i, child| {

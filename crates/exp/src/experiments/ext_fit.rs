@@ -25,7 +25,6 @@ struct Row {
 
 /// Fits both Figure 9 panels' sweeps.
 pub fn run(ctx: &ExecCtx) -> Report {
-    let _span = ctx.registry.span("exp.ext_fit");
     let mut rows = Vec::new();
     for (name, panel) in [
         ("estimated", Panel::Estimated),

@@ -84,7 +84,6 @@ fn throughput(run: &FleetRun) -> f64 {
 /// `exp.ext_fleet.min_rack_h` ride along, and the budget fleet attaches
 /// its folded [`hprc_obs::BudgetAccount`] to the journal footer.
 pub fn run_with_series(ctx: &ExecCtx) -> Result<(Report, Series), FleetError> {
-    let _span = ctx.registry.span("exp.ext_fleet");
     let topo = FleetTopology::new(NODES, RACK_SIZE);
     // Nodes are the parallel axis inside each fleet, so the sweep
     // itself stays serial: rate i is journal/id stream i.

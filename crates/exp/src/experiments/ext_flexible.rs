@@ -91,7 +91,6 @@ fn fitting_app(repeat: usize) -> FlexApp {
 
 /// Runs the fitting and oversubscribed scenarios under both policies.
 pub fn run(ctx: &ExecCtx) -> Report {
-    let _span = ctx.registry.span("exp.ext_flexible");
     let node = NodeConfig::xd1_measured(&Floorplan::xd1_dual_prr());
     let device = Device::xc2vp50();
     let mut rows = Vec::new();

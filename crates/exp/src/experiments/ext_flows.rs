@@ -3,7 +3,6 @@
 //! paper's warning that "the current design cycle for PRTR increases
 //! exponentially with the number of implemented tasks and PRRs".
 
-use hprc_ctx::ExecCtx;
 use hprc_fpga::bitstream::Bitstream;
 use hprc_fpga::device::Device;
 use hprc_fpga::floorplan::Floorplan;
@@ -25,8 +24,7 @@ struct Row {
 
 /// Runs the inventory comparison for 2..=8 modules over one dual-layout
 /// PRR.
-pub fn run(ctx: &ExecCtx) -> Report {
-    let _span = ctx.registry.span("exp.ext_flows");
+pub fn run() -> Report {
     let device = Device::xc2vp50();
     let fp = Floorplan::xd1_dual_prr();
     let columns = fp.prrs[0].region.column_indices();
@@ -128,7 +126,7 @@ mod tests {
 
     #[test]
     fn counts_follow_n_and_n_squared() {
-        let r = run(&ExecCtx::default());
+        let r = run();
         let rows = r.json.as_array().unwrap();
         for row in rows {
             let n = row["n_modules"].as_u64().unwrap() as usize;
@@ -148,7 +146,7 @@ mod tests {
         let device = Device::xc2vp50();
         let fp = Floorplan::xd1_dual_prr();
         let columns = fp.prrs[0].region.column_indices();
-        let r = run(&ExecCtx::default());
+        let r = run();
         let rows = r.json.as_array().unwrap();
         for n in [2usize, 5] {
             let seeds: Vec<u64> = (0..n as u64).collect();
@@ -168,7 +166,7 @@ mod tests {
 
     #[test]
     fn difference_flow_storage_grows_faster() {
-        let r = run(&ExecCtx::default());
+        let r = run();
         let rows = r.json.as_array().unwrap();
         let last = rows.last().unwrap();
         assert!(

@@ -26,7 +26,6 @@ struct Row {
 
 /// Measures the peak speedup of each layout on the measured node.
 pub fn run(ctx: &ExecCtx) -> Report {
-    let _span = ctx.registry.span("exp.ext_granularity");
     let layouts: Vec<(&str, Floorplan)> = vec![
         ("single PRR", Floorplan::xd1_single_prr()),
         ("dual PRR", Floorplan::xd1_dual_prr()),

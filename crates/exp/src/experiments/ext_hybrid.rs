@@ -2,7 +2,6 @@
 //! does a software fraction dilute the PRTR gain (Amdahl), and how large a
 //! software share can a design tolerate for a target speedup?
 
-use hprc_ctx::ExecCtx;
 use hprc_model::hybrid::HybridParams;
 use hprc_model::params::{ModelParams, NormalizedTimes};
 use serde::Serialize;
@@ -27,8 +26,7 @@ struct Payload {
 
 /// Sweeps the software fraction and software-task size at the measured
 /// XD1 peak operating point.
-pub fn run(ctx: &ExecCtx) -> Report {
-    let _span = ctx.registry.span("exp.ext_hybrid");
+pub fn run() -> Report {
     let x_prtr = 19.77 / 1678.04;
     let hw = ModelParams::new(NormalizedTimes::ideal(x_prtr, x_prtr), 0.0, 1).unwrap();
     let hw_speedup = hprc_model::speedup::asymptotic_speedup(&hw);
@@ -94,7 +92,7 @@ mod tests {
 
     #[test]
     fn hybrid_rows_bracket_hw_and_unity() {
-        let r = run(&ExecCtx::default());
+        let r = run();
         let hw = r.json["hw_speedup"].as_f64().unwrap();
         assert!(hw > 80.0);
         for row in r.json["rows"].as_array().unwrap() {
@@ -113,7 +111,7 @@ mod tests {
 
     #[test]
     fn budgets_are_ordered() {
-        let r = run(&ExecCtx::default());
+        let r = run();
         let b10 = r.json["budget_for_10x"].as_f64().unwrap();
         let b2 = r.json["budget_for_2x"].as_f64().unwrap();
         assert!(b10 < b2, "tighter target -> smaller budget ({b10} vs {b2})");

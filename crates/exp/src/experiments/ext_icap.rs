@@ -39,7 +39,6 @@ fn peak(node: &NodeConfig, ctx: &ExecCtx) -> f64 {
 
 /// Runs the ablation on the measured dual-PRR node.
 pub fn run(ctx: &ExecCtx) -> Report {
-    let _span = ctx.registry.span("exp.ext_icap");
     let fp = Floorplan::xd1_dual_prr();
     let base = NodeConfig::xd1_measured(&fp);
 

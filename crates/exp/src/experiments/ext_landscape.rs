@@ -1,7 +1,6 @@
 //! E10 — The full `(X_task, H)` speedup landscape at the measured XD1
 //! operating point, with design contours ("what hit ratio buys what").
 
-use hprc_ctx::ExecCtx;
 use hprc_model::landscape::{compute, Landscape};
 use hprc_model::params::NormalizedTimes;
 use hprc_model::sweep::Axis;
@@ -47,8 +46,7 @@ fn ascii_heatmap(l: &Landscape) -> String {
 
 /// Computes the landscape and its 10x/30x/60x contours, plus one
 /// `S(X_task)` curve per sampled `H`.
-pub fn run_with_series(ctx: &ExecCtx) -> (Report, Series) {
-    let _span = ctx.registry.span("exp.ext_landscape");
+pub fn run_with_series() -> (Report, Series) {
     let x_prtr = 19.77 / 1678.04;
     let l = compute(
         NormalizedTimes::ideal(1.0, x_prtr),
@@ -127,8 +125,8 @@ pub fn run_with_series(ctx: &ExecCtx) -> (Report, Series) {
 
 /// The report alone, as the tests below read it.
 #[cfg(test)]
-fn run(ctx: &ExecCtx) -> Report {
-    run_with_series(ctx).0
+fn run() -> Report {
+    run_with_series().0
 }
 
 #[cfg(test)]
@@ -137,7 +135,7 @@ mod tests {
 
     #[test]
     fn landscape_report_is_consistent() {
-        let r = run(&ExecCtx::default());
+        let r = run();
         let max = r.json["max_speedup"].as_f64().unwrap();
         assert!(max > 500.0);
         assert_eq!(r.json["max_h"].as_f64().unwrap(), 1.0);
@@ -149,7 +147,7 @@ mod tests {
 
     #[test]
     fn heatmap_renders_every_row() {
-        let r = run(&ExecCtx::default());
+        let r = run();
         assert_eq!(
             r.body.matches("H=").count(),
             9,

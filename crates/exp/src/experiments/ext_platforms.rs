@@ -102,7 +102,6 @@ fn rasc_class() -> NodeConfig {
 
 /// Projects the three HPRC platforms.
 pub fn run(ctx: &ExecCtx) -> Report {
-    let _span = ctx.registry.span("exp.ext_platforms");
     let platforms: Vec<(String, String, NodeConfig, bool)> = vec![
         (
             "Cray XD1 (paper, measured)".into(),

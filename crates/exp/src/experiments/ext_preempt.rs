@@ -219,7 +219,6 @@ fn grid() -> Vec<(&'static str, f64, &'static str)> {
 /// preemption buys over the run-to-completion baseline) and
 /// `exp.ext_preempt.total_preemptions`.
 pub fn run_with_series(ctx: &ExecCtx) -> (Report, Series) {
-    let _span = ctx.registry.span("exp.ext_preempt");
     let points = grid();
     let runs = par_indexed(points.len(), ctx, |i, child| {
         let (node, tightness, policy) = points[i];

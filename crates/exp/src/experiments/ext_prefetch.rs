@@ -70,7 +70,6 @@ fn traces(len: usize) -> Vec<TraceSpec> {
 /// Runs the policy × workload grid at the configuration-bound operating
 /// point (`T_task = 0.25 × T_PRTR`), where prefetching matters most.
 pub fn run(ctx: &ExecCtx) -> Report {
-    let _span = ctx.registry.span("exp.ext_prefetch");
     let node = NodeConfig::xd1_measured(&Floorplan::xd1_dual_prr());
     let t_task = 0.25 * node.t_prtr_s();
     let len = 600;

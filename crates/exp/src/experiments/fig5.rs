@@ -2,7 +2,6 @@
 //! `S∞(X_task)` for hit ratios and partial-configuration ratios, with
 //! `X_decision = X_control = 0`.
 
-use hprc_ctx::ExecCtx;
 use hprc_model::bounds;
 use hprc_model::params::NormalizedTimes;
 use hprc_model::sweep::{figure5_family, Axis};
@@ -34,8 +33,7 @@ pub const X_PRTRS: [f64; 4] = [0.012, 0.1, 0.17, 0.37];
 
 /// Regenerates Figure 5: the per-curve summary report and the full
 /// curves.
-pub fn run_with_series(ctx: &ExecCtx) -> (Report, Series) {
-    let _span = ctx.registry.span("exp.fig5");
+pub fn run_with_series() -> (Report, Series) {
     let axis = Axis::Log {
         lo: 1e-3,
         hi: 100.0,
@@ -147,8 +145,8 @@ pub fn run_with_series(ctx: &ExecCtx) -> (Report, Series) {
 
 /// The report alone, as the tests below read it.
 #[cfg(test)]
-fn run(ctx: &ExecCtx) -> Report {
-    run_with_series(ctx).0
+fn run() -> Report {
+    run_with_series().0
 }
 
 #[cfg(test)]
@@ -158,7 +156,7 @@ mod tests {
 
     #[test]
     fn fig5_reproduces_headline_numbers() {
-        let r = run(&ExecCtx::default());
+        let r = run();
         let curves = r.json["curves"].as_array().unwrap();
         assert_eq!(curves.len(), HIT_RATIOS.len() * X_PRTRS.len());
         for c in curves {

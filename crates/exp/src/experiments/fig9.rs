@@ -116,7 +116,6 @@ pub fn peak_attribution(panel: Panel, ctx: &ExecCtx) -> AttributionReport {
 /// curves: the sweep's metrics land in `ctx.registry`, plus summary
 /// gauges `exp.fig9.peak_speedup` / `exp.fig9.peak_x_task`.
 pub fn run_with_series(panel: Panel, ctx: &ExecCtx) -> (Report, Series) {
-    let _span = ctx.registry.span("exp.fig9");
     let (node, points) = sweep(panel, 41, ctx);
     let id = panel.id();
     let (title, paper_peak) = match panel {

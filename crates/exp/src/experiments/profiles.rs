@@ -96,7 +96,6 @@ pub fn trace(ctx: &ExecCtx) -> Vec<hprc_obs::ChromeEvent> {
 /// Renders the three execution profiles for a 4-call sequence with
 /// `T_task ≈ 2 × T_PRTR` (so overlap is visible).
 pub fn run(ctx: &ExecCtx) -> Report {
-    let _span = ctx.registry.span("exp.profiles");
     let (node, t_task, frtr, prtr_miss, prtr_hit) = build(ctx);
     let t_actual = frtr_task_time(&node, t_task);
     let params = model_params_for(&node, t_actual, 0.0, frtr.calls.len() as u64);

@@ -20,7 +20,6 @@ struct Row {
 
 /// Regenerates the headline comparison table.
 pub fn run(ctx: &ExecCtx) -> Report {
-    let _span = ctx.registry.span("exp.summary");
     let fp = Floorplan::xd1_dual_prr();
     let meas = NodeConfig::xd1_measured(&fp);
     let est = NodeConfig::xd1_estimated(&fp);

@@ -1,6 +1,5 @@
 //! Table 1: hardware functions and their resource requirements.
 
-use hprc_ctx::ExecCtx;
 use hprc_fpga::device::Device;
 use hprc_fpga::floorplan::Floorplan;
 use hprc_fpga::module::{ModuleClass, ModuleLibrary};
@@ -26,8 +25,7 @@ struct Row {
 
 /// Regenerates Table 1: each module's resources, its utilization of the
 /// XC2VP50, and whether it places into the dual-PRR layout.
-pub fn run(ctx: &ExecCtx) -> Report {
-    let _span = ctx.registry.span("exp.table1");
+pub fn run() -> Report {
     let device = Device::xc2vp50();
     let cap = device.capacity();
     let lib = ModuleLibrary::paper_table1();
@@ -129,7 +127,7 @@ mod tests {
 
     #[test]
     fn table1_matches_paper_percentages() {
-        let r = run(&ExecCtx::default());
+        let r = run();
         assert!(r.body.contains("3372") || r.body.contains("3,372") || r.body.contains("3372"));
         // Paper's percentage column: 7 / 11 / 10 for the static region.
         assert!(r.body.contains("(7%)"));

@@ -1,7 +1,6 @@
 //! Table 2: bitstream sizes, estimated and measured configuration times,
 //! and normalized configuration times for each layout.
 
-use hprc_ctx::ExecCtx;
 use hprc_fpga::floorplan::Floorplan;
 use hprc_fpga::ports::ConfigPort;
 use hprc_sim::cray_api::CrayConfigApi;
@@ -37,8 +36,7 @@ struct Row {
 /// Regenerates Table 2 from the device model, the SelectMap port, the
 /// vendor API model, and the calibrated ICAP path; compares each cell to
 /// the paper's values.
-pub fn run(ctx: &ExecCtx) -> Report {
-    let _span = ctx.registry.span("exp.table2");
+pub fn run() -> Report {
     let full_bytes = Floorplan::xd1_dual_prr().device.full_bitstream_bytes();
     let single = Floorplan::xd1_single_prr()
         .mean_prr_bitstream_bytes()
@@ -169,7 +167,7 @@ mod tests {
 
     #[test]
     fn table2_errors_are_small() {
-        let r = run(&ExecCtx::default());
+        let r = run();
         let rows = r.json.as_array().unwrap();
         assert_eq!(rows.len(), 3);
         for row in rows {
@@ -182,7 +180,7 @@ mod tests {
 
     #[test]
     fn full_row_is_exact() {
-        let r = run(&ExecCtx::default());
+        let r = run();
         assert!(r.body.contains("2381764"));
         assert!(r.body.contains("1678.04"));
     }

@@ -38,7 +38,6 @@ fn hit_pattern(n: usize, h: f64) -> Vec<bool> {
 
 /// Runs the validation grid: `x_task` × `H` on the measured XD1 node.
 pub fn run(ctx: &ExecCtx) -> Report {
-    let _span = ctx.registry.span("exp.validate");
     let node = NodeConfig::xd1_measured(&Floorplan::xd1_dual_prr());
     let n = 1500usize;
     let x_tasks = [0.002, 0.0118, 0.05, 0.2, 1.0, 3.0];

@@ -140,17 +140,17 @@ pub const EXPERIMENTS: [Experiment; 24] = {
         entry(
             "table1",
             "Table 1: the three image filters' per-call times",
-            Run::Plain(|c| Ok(table1::run(c))),
+            Run::Plain(|_| Ok(table1::run())),
         ),
         entry(
             "table2",
             "Table 2: configuration times and X ratios per platform",
-            Run::Plain(|c| Ok(table2::run(c))),
+            Run::Plain(|_| Ok(table2::run())),
         ),
         entry(
             "fig5",
             "Figure 5: analytic speedup bound vs task:config ratio",
-            Run::WithSeries(|c| Ok(fig5::run_with_series(c))),
+            Run::WithSeries(|_| Ok(fig5::run_with_series())),
         ),
         Experiment {
             trace: Some(|c, _| Ok(fig9::trace(Panel::Estimated, c))),
@@ -192,12 +192,12 @@ pub const EXPERIMENTS: [Experiment; 24] = {
         entry(
             "ext-decision",
             "E2: decision-latency sensitivity",
-            Run::Plain(|c| Ok(ext_decision::run(c))),
+            Run::Plain(|_| Ok(ext_decision::run())),
         ),
         entry(
             "ext-flows",
             "E3: data-flow regimes on the shared input channel",
-            Run::Plain(|c| Ok(ext_flows::run(c))),
+            Run::Plain(|_| Ok(ext_flows::run())),
         ),
         entry(
             "ext-granularity",
@@ -212,7 +212,7 @@ pub const EXPERIMENTS: [Experiment; 24] = {
         entry(
             "ext-compress",
             "E6: bitstream compression sweep",
-            Run::Plain(|c| Ok(ext_compress::run(c))),
+            Run::Plain(|_| Ok(ext_compress::run())),
         ),
         entry(
             "ext-multitask",
@@ -222,17 +222,17 @@ pub const EXPERIMENTS: [Experiment; 24] = {
         entry(
             "ext-hybrid",
             "Hybrid FRTR/PRTR cutover policies",
-            Run::Plain(|c| Ok(ext_hybrid::run(c))),
+            Run::Plain(|_| Ok(ext_hybrid::run())),
         ),
         entry(
             "ext-landscape",
             "Speedup landscape over (H, X_PRTR)",
-            Run::WithSeries(|c| Ok(ext_landscape::run_with_series(c))),
+            Run::WithSeries(|_| Ok(ext_landscape::run_with_series())),
         ),
         entry(
             "ext-defrag",
             "Fragmentation and defragmentation of the PRR pool",
-            Run::Plain(|c| Ok(ext_defrag::run(c))),
+            Run::Plain(|_| Ok(ext_defrag::run())),
         ),
         entry(
             "ext-fit",
@@ -304,11 +304,10 @@ impl Experiment {
     /// `<id>.csv` if it has one.
     ///
     /// The context carries everything cross-cutting: substrate metrics
-    /// and per-experiment spans land in `ctx.registry`, workload RNG
-    /// streams derive from `ctx.seed`, and sweeps fan out across
-    /// `ctx.jobs` worker threads (deterministically — results are
-    /// identical at any budget). `ExecCtx::default()` is the plain
-    /// serial, uninstrumented run.
+    /// land in `ctx.registry`, workload RNG streams derive from
+    /// `ctx.seed`, and sweeps fan out across `ctx.jobs` worker threads
+    /// (deterministically — results are identical at any budget).
+    /// `ExecCtx::default()` is the plain serial, uninstrumented run.
     pub fn execute(&self, ctx: &ExecCtx) -> Result<(Report, Option<Series>), ExpError> {
         match self.run {
             Run::Plain(run) => Ok((run(ctx)?, None)),

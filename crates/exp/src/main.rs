@@ -12,11 +12,12 @@
 //!
 //! With `--trace DIR`, each experiment runs against a live metrics
 //! registry and causal journal and writes `<id>.metrics.json`
-//! (counters, gauges, histogram summaries, spans) and
+//! (counters, gauges and histogram summaries, all logical, so the file
+//! is as deterministic as every other artifact) and
 //! `<id>.journal.jsonl` (the run journal), plus — for experiments with
 //! a representative timeline — `<id>.trace.json` in Chrome trace-event
 //! format, loadable in Perfetto or `chrome://tracing`, and
-//! `<id>.attr.json` (its wall-clock attribution).
+//! `<id>.attr.json` (its timeline attribution).
 //!
 //! Every run is crash-safe: a write-ahead manifest
 //! (`<run-id>.manifest.jsonl` under `--out`) records intent, per-point
@@ -89,6 +90,10 @@ fn main() -> ExitCode {
         Some("journal") => return hprc_exp::journal_cli::journal_main(args.skip(1)),
         Some("resume") => return hprc_exp::recover::resume_main(args.skip(1)),
         Some("list") => {
+            if args.nth(1).is_some() {
+                eprintln!("list takes no arguments\n\n{}", usage());
+                return ExitCode::FAILURE;
+            }
             for e in &EXPERIMENTS {
                 println!("{:<16} {}", e.id, e.description);
             }
@@ -174,6 +179,9 @@ fn main() -> ExitCode {
             .map(|s| s.to_string())
             .collect();
     }
+    // A repeated id runs, and is sealed, once: at its first position.
+    let mut seen = std::collections::HashSet::new();
+    ids.retain(|id| seen.insert(id.clone()));
     // Validate every id before running anything: a typo fails fast
     // instead of surfacing after minutes of earlier experiments.
     let mut experiments: Vec<&Experiment> = Vec::with_capacity(ids.len());

@@ -1,7 +1,8 @@
 //! End-to-end tests of the `hprc-exp` binary: help/usage exit codes,
-//! argument errors, and `--jobs` invariance of the `.attr.json`
-//! attribution artifact.
+//! argument errors, repeated ids, and `--jobs` invariance of the
+//! `.attr.json` attribution artifact.
 
+use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::process::Command;
 
@@ -78,6 +79,52 @@ fn unknown_flag_and_unknown_id_fail() {
         assert!(!out.status.success());
         assert!(String::from_utf8_lossy(&out.stderr).contains(&format!("unknown experiment: {id}")));
     }
+
+    for extra in ["extra", "--bogus"] {
+        let out = Command::new(exe())
+            .args(["list", extra])
+            .output()
+            .expect("run binary");
+        assert!(!out.status.success(), "list {extra} must fail");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains("list takes no arguments") && stderr.contains("usage: hprc-exp"),
+            "list {extra}: {stderr}"
+        );
+    }
+}
+
+/// A repeated id runs and is sealed once, at its first position: the
+/// run writes exactly what naming the id once writes, manifest included.
+#[test]
+fn repeated_ids_run_once() {
+    let tree = |tag: &str, ids: &[&str]| {
+        let dir = tmp_dir(tag);
+        let out = Command::new(exe())
+            .arg("--out")
+            .arg(&dir)
+            .args(ids)
+            .output()
+            .expect("run binary");
+        assert!(
+            out.status.success(),
+            "{ids:?}: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        let files: BTreeMap<String, Vec<u8>> = std::fs::read_dir(&dir)
+            .expect("read out dir")
+            .map(|entry| {
+                let path = entry.expect("dir entry").path();
+                let name = path.file_name().unwrap().to_string_lossy().to_string();
+                (name, std::fs::read(&path).expect("read artifact"))
+            })
+            .collect();
+        let _ = std::fs::remove_dir_all(&dir);
+        files
+    };
+    let twice = tree("repeat-twice", &["table1", "table1"]);
+    assert!(twice.contains_key("run.manifest.jsonl"));
+    assert_eq!(twice, tree("repeat-once", &["table1"]));
 }
 
 #[test]

@@ -68,17 +68,9 @@ fn assert_identical(got: &Artifacts, want: &Artifacts, what: &str) -> Result<(),
     Ok(())
 }
 
-/// The metrics snapshot minus the `spans` section: span entries carry
-/// wall-clock start/duration stamps, which differ between any two runs
-/// of anything — two from-scratch runs included. Counters, gauges, and
-/// histograms are the deterministic artifact surface.
-fn metrics_sans_spans(registry: &Registry) -> String {
-    let mut v = serde_json::to_value(&registry.snapshot()).expect("snapshot serializes");
-    match &mut v {
-        serde_json::Value::Object(pairs) => pairs.retain(|(k, _)| k != "spans"),
-        other => panic!("snapshot is an object, got {other:?}"),
-    }
-    serde_json::to_string(&v).unwrap()
+/// The serialized metrics snapshot, whole.
+fn metrics(registry: &Registry) -> String {
+    serde_json::to_string(&registry.snapshot()).expect("snapshot serializes")
 }
 
 fn instrumented_ctx(seed: u64, jobs: usize, delta: DeltaCache) -> ExecCtx {
@@ -114,7 +106,7 @@ fn clean_sweep(
                 .map(|r| (&r.point, &r.frtr, &r.prtr))
                 .collect::<Vec<_>>()
         ),
-        metrics: metrics_sans_spans(&ctx.registry),
+        metrics: metrics(&ctx.registry),
         attr: serde_json::to_string(&attr).unwrap(),
         journal: ctx.journal.to_jsonl("delta-prop", seed),
     }
@@ -156,7 +148,7 @@ fn faulty_sweep(seed: u64, len: usize, rates: &[f64], jobs: usize, delta: DeltaC
                 .map(|r| (&r.point, &r.frtr, &r.prtr, &r.sched))
                 .collect::<Vec<_>>()
         ),
-        metrics: metrics_sans_spans(&ctx.registry),
+        metrics: metrics(&ctx.registry),
         attr: serde_json::to_string(&attr).unwrap(),
         journal: ctx.journal.to_jsonl("delta-prop", seed),
     }
@@ -191,7 +183,7 @@ fn preempt_sweep(
                 .map(|r| (&r.outcome, &r.report))
                 .collect::<Vec<_>>()
         ),
-        metrics: metrics_sans_spans(&ctx.registry),
+        metrics: metrics(&ctx.registry),
         attr: String::new(),
         journal: ctx.journal.to_jsonl("delta-prop", seed),
     }

@@ -1,10 +1,10 @@
-//! Every experiment's logical metrics, pinned: each `EXPERIMENTS` entry
-//! produced once under a live registry at seed 0, its snapshot taken
-//! without the wall-clock spans and serialized exactly as `--trace`
-//! writes `<id>.metrics.json`, must give the CRC32 and length recorded
-//! in `golden/metrics.crc` (one `name crc32 len` line per experiment,
-//! sorted by name) — at an inner jobs budget of 1 and of 2, so each
-//! sweep's parallel fan-out and its index-ordered merge are pinned too.
+//! Every experiment's metrics, pinned: each `EXPERIMENTS` entry
+//! produced once under a live registry at seed 0, its `<id>.metrics.json`
+//! blob (the exact bytes `--trace` seals) must give the CRC32 and length
+//! recorded in `golden/metrics.crc` (one `name crc32 len` line per
+//! experiment, sorted by name) — at an inner jobs budget of 1 and of 2,
+//! so each sweep's parallel fan-out and its index-ordered merge are
+//! pinned too.
 //!
 //! The fast-path equivalence proptests compare each executor with its
 //! per-call oracle; both derive their counters and histograms the same
@@ -20,15 +20,17 @@ fn seals(jobs: usize) -> String {
         .iter()
         .map(|exp| {
             let ctx = experiment_ctx(exp.id, 0, jobs, true, DeltaCache::disabled());
-            produce(exp, &ctx, true).expect("the experiment runs");
-            let mut snap = ctx.registry.snapshot();
-            snap.spans.clear();
-            let text = serde_json::to_string_pretty(&snap).expect("a snapshot serializes");
+            let point = produce(exp, &ctx, true).expect("the experiment runs");
+            let metrics = point
+                .blobs
+                .iter()
+                .find(|b| b.name.ends_with(".metrics.json"))
+                .expect("a traced point seals metrics.json");
             format!(
-                "{}.metrics.json {:08x} {}\n",
-                exp.id,
-                crc32(text.as_bytes()),
-                text.len()
+                "{} {:08x} {}\n",
+                metrics.name,
+                crc32(&metrics.bytes),
+                metrics.bytes.len()
             )
         })
         .collect();

@@ -24,18 +24,22 @@ fn tmp_dir(tag: &str) -> PathBuf {
     dir
 }
 
-/// Every file under `dir` (flat), minus the manifest — the one
-/// artifact allowed to differ between interrupted and clean runs.
-fn artifact_tree(dir: &Path) -> BTreeMap<String, Vec<u8>> {
+/// Every file under `dir` (flat), by name.
+fn tree(dir: &Path) -> BTreeMap<String, Vec<u8>> {
     let mut tree = BTreeMap::new();
     for entry in std::fs::read_dir(dir).expect("read artifact dir") {
         let entry = entry.expect("dir entry");
         let name = entry.file_name().to_string_lossy().to_string();
-        if name.ends_with(".manifest.jsonl") {
-            continue;
-        }
         tree.insert(name, std::fs::read(entry.path()).expect("read artifact"));
     }
+    tree
+}
+
+/// [`tree`] minus the manifest — the one artifact allowed to differ
+/// between interrupted and clean runs, since it records the crash.
+fn artifact_tree(dir: &Path) -> BTreeMap<String, Vec<u8>> {
+    let mut tree = tree(dir);
+    tree.retain(|name, _| !name.ends_with(".manifest.jsonl"));
     tree
 }
 
@@ -76,21 +80,35 @@ fn sample_manifest() -> &'static str {
     })
 }
 
-fn run_sweep(out: &Path, jobs: &str, crash_at: Option<u64>) -> std::process::Output {
+/// The test sweep: `table2 fig5`, or with a `trace` directory
+/// `table2 profiles`, whose profiles point writes every trace artifact
+/// (Chrome trace, attribution, metrics with counters, journal).
+fn run_sweep(
+    out: &Path,
+    trace: Option<&Path>,
+    jobs: &str,
+    crash_at: Option<u64>,
+) -> std::process::Output {
     let mut cmd = Command::new(exe());
     cmd.args(["--seed", "3", "--jobs", jobs, "--out"]).arg(out);
     if let Some(seq) = crash_at {
         cmd.args(["--crash-at", &seq.to_string()]);
     }
-    cmd.args(["table2", "fig5"]).output().expect("run sweep")
+    match trace {
+        None => cmd.args(["table2", "fig5"]),
+        Some(dir) => cmd.arg("--trace").arg(dir).args(["table2", "profiles"]),
+    };
+    cmd.output().expect("run sweep")
 }
 
-fn resume(out: &Path, jobs: &str) -> std::process::Output {
-    Command::new(exe())
-        .args(["resume", "run", "--jobs", jobs, "--out"])
-        .arg(out)
-        .output()
-        .expect("run resume")
+fn resume(out: &Path, trace: Option<&Path>, jobs: &str) -> std::process::Output {
+    let mut cmd = Command::new(exe());
+    cmd.args(["resume", "run", "--jobs", jobs, "--out"])
+        .arg(out);
+    if let Some(dir) = trace {
+        cmd.arg("--trace").arg(dir);
+    }
+    cmd.output().expect("run resume")
 }
 
 proptest! {
@@ -199,77 +217,123 @@ proptest! {
     }
 }
 
-/// The tentpole guarantee: crash at *every* manifest seq of a small
+/// The crash-safety guarantee: crash at *every* manifest seq of a small
 /// sweep, resume, and land byte-identical to an uninterrupted run — at
-/// `--jobs 1` and `--jobs 4` for both the crash and the resume.
+/// `--jobs 1` and `--jobs 4` for both the crash and the resume, plain
+/// and traced. Only the manifest may differ: it records the crash.
 ///
 /// Seq layout for `table2 fig5` (no trace): 0 intent, 1-3 table2
 /// begin/json/complete, 4-7 fig5 begin/json/csv/complete, 8
-/// run-complete.
+/// run-complete. Traced `table2 profiles`: 0 intent, 1-5 table2
+/// begin/json/metrics/journal/complete, 6-12 profiles
+/// begin/json/trace/attr/metrics/journal/complete, 13 run-complete.
 #[test]
 fn resume_after_crash_at_every_seq_is_byte_identical() {
-    let ref_dir = tmp_dir("ref");
-    assert!(run_sweep(&ref_dir, "1", None).status.success());
-    let reference = artifact_tree(&ref_dir);
-    assert!(
-        reference.keys().any(|k| k == "fig5.csv"),
-        "reference run should write the fig5 series: {:?}",
-        reference.keys().collect::<Vec<_>>()
-    );
+    // (traced, table2's point-complete seq, the run-complete seq)
+    for (traced, table2_complete, last) in [(false, 3, 8), (true, 5, 13)] {
+        let ref_dir = tmp_dir(&format!("ref-t{traced}"));
+        let ref_trace = traced.then(|| tmp_dir("ref-trace"));
+        assert!(run_sweep(&ref_dir, ref_trace.as_deref(), "1", None)
+            .status
+            .success());
+        let reference = artifact_tree(&ref_dir);
+        let reference_trace = ref_trace.as_deref().map(tree);
+        assert!(
+            reference.keys().any(|k| k == "table2.json"),
+            "reference run should write table2: {:?}",
+            reference.keys().collect::<Vec<_>>()
+        );
+        if let Some(trace) = &reference_trace {
+            assert!(
+                trace.keys().any(|k| k == "profiles.metrics.json"),
+                "traced reference run should write profiles' metrics: {:?}",
+                trace.keys().collect::<Vec<_>>()
+            );
+        }
 
-    for seq in 0..=8u64 {
-        for jobs in ["1", "4"] {
-            let dir = tmp_dir(&format!("crash-{seq}-j{jobs}"));
-            let out = run_sweep(&dir, jobs, Some(seq));
-            assert!(
-                !out.status.success(),
-                "seq {seq} jobs {jobs}: the injected crash must kill the process"
-            );
-            let stderr = String::from_utf8_lossy(&out.stderr);
-            assert!(
-                stderr.contains(&format!("injected crash at manifest seq {seq}")),
-                "seq {seq} jobs {jobs}: missing crash note: {stderr}"
-            );
-            let out = resume(&dir, jobs);
-            assert!(
-                out.status.success(),
-                "seq {seq} jobs {jobs}: resume failed: {}",
-                String::from_utf8_lossy(&out.stderr)
-            );
-            assert_eq!(
-                artifact_tree(&dir),
-                reference,
-                "seq {seq} jobs {jobs}: resumed artifacts must be byte-identical"
-            );
-            // Crashes past a point-complete salvage that point instead
-            // of re-executing it.
-            let stdout = String::from_utf8_lossy(&out.stdout);
-            if seq >= 4 {
+        for seq in 0..=last {
+            for jobs in ["1", "4"] {
+                let case = format!("seq {seq} jobs {jobs} traced {traced}");
+                let dir = tmp_dir(&format!("crash-{seq}-j{jobs}-t{traced}"));
+                let trace = traced.then(|| tmp_dir(&format!("crash-{seq}-j{jobs}-trace")));
+                let out = run_sweep(&dir, trace.as_deref(), jobs, Some(seq));
                 assert!(
-                    stdout.contains("salvage table2"),
-                    "seq {seq} jobs {jobs}: table2 was durable and must salvage: {stdout}"
+                    !out.status.success(),
+                    "{case}: the injected crash must kill the process"
                 );
+                let stderr = String::from_utf8_lossy(&out.stderr);
+                assert!(
+                    stderr.contains(&format!("injected crash at manifest seq {seq}")),
+                    "{case}: missing crash note: {stderr}"
+                );
+                let out = resume(&dir, trace.as_deref(), jobs);
+                assert!(
+                    out.status.success(),
+                    "{case}: resume failed: {}",
+                    String::from_utf8_lossy(&out.stderr)
+                );
+                assert_eq!(
+                    artifact_tree(&dir),
+                    reference,
+                    "{case}: resumed artifacts must be byte-identical"
+                );
+                assert_eq!(
+                    trace.as_deref().map(tree),
+                    reference_trace,
+                    "{case}: the resumed trace tree must be byte-identical"
+                );
+                // Crashes past a point-complete salvage that point instead
+                // of re-executing it.
+                let stdout = String::from_utf8_lossy(&out.stdout);
+                if seq > table2_complete {
+                    assert!(
+                        stdout.contains("salvage table2"),
+                        "{case}: table2 was durable and must salvage: {stdout}"
+                    );
+                }
+                let _ = std::fs::remove_dir_all(&dir);
+                if let Some(trace) = &trace {
+                    let _ = std::fs::remove_dir_all(trace);
+                }
             }
-            let _ = std::fs::remove_dir_all(&dir);
+        }
+        let _ = std::fs::remove_dir_all(&ref_dir);
+        if let Some(trace) = &ref_trace {
+            let _ = std::fs::remove_dir_all(trace);
         }
     }
-    let _ = std::fs::remove_dir_all(&ref_dir);
 }
 
 /// The manifest itself is deterministic: identical bytes at any
-/// `--jobs`, because commits are serialized in id order.
+/// `--jobs`, because commits are serialized in id order. So is a traced
+/// run's whole trace directory, `metrics.json` included.
 #[test]
 fn manifest_is_byte_identical_across_jobs() {
-    let d1 = tmp_dir("manifest-j1");
-    let d4 = tmp_dir("manifest-j4");
-    assert!(run_sweep(&d1, "1", None).status.success());
-    assert!(run_sweep(&d4, "4", None).status.success());
-    let m1 = std::fs::read(d1.join("run.manifest.jsonl")).expect("manifest at jobs 1");
-    let m4 = std::fs::read(d4.join("run.manifest.jsonl")).expect("manifest at jobs 4");
-    assert!(!m1.is_empty());
-    assert_eq!(m1, m4, "manifest seqs must not depend on --jobs");
-    let _ = std::fs::remove_dir_all(&d1);
-    let _ = std::fs::remove_dir_all(&d4);
+    for traced in [false, true] {
+        let [(d1, t1), (d4, t4)] = ["1", "4"].map(|jobs| {
+            let out = tmp_dir(&format!("manifest-j{jobs}-t{traced}"));
+            let trace = traced.then(|| tmp_dir(&format!("manifest-j{jobs}-trace")));
+            assert!(run_sweep(&out, trace.as_deref(), jobs, None)
+                .status
+                .success());
+            (out, trace)
+        });
+        let m1 = std::fs::read(d1.join("run.manifest.jsonl")).expect("manifest at jobs 1");
+        let m4 = std::fs::read(d4.join("run.manifest.jsonl")).expect("manifest at jobs 4");
+        assert!(!m1.is_empty());
+        assert_eq!(
+            m1, m4,
+            "manifest seqs must not depend on --jobs (traced {traced})"
+        );
+        assert_eq!(
+            t1.as_deref().map(tree),
+            t4.as_deref().map(tree),
+            "the trace tree must not depend on --jobs"
+        );
+        for dir in [Some(d1), Some(d4), t1, t4].into_iter().flatten() {
+            let _ = std::fs::remove_dir_all(dir);
+        }
+    }
 }
 
 /// A completed point whose artifact was later corrupted on disk is
@@ -277,7 +341,7 @@ fn manifest_is_byte_identical_across_jobs() {
 #[test]
 fn resume_reexecutes_corrupted_artifacts() {
     let dir = tmp_dir("corrupt");
-    assert!(run_sweep(&dir, "1", None).status.success());
+    assert!(run_sweep(&dir, None, "1", None).status.success());
     let reference = artifact_tree(&dir);
 
     // Same-length bit flip deep inside the sealed CSV.
@@ -287,7 +351,7 @@ fn resume_reexecutes_corrupted_artifacts() {
     bytes[idx] ^= 0x20;
     std::fs::write(&path, &bytes).expect("corrupt csv");
 
-    let out = resume(&dir, "2");
+    let out = resume(&dir, None, "2");
     assert!(
         out.status.success(),
         "resume failed: {}",
@@ -311,7 +375,7 @@ fn resume_reexecutes_corrupted_artifacts() {
 #[test]
 fn resume_tolerates_a_torn_manifest_tail() {
     let dir = tmp_dir("torn-tail");
-    let out = run_sweep(&dir, "1", Some(4));
+    let out = run_sweep(&dir, None, "1", Some(4));
     assert!(!out.status.success());
     // Fake the torn tail of a crash mid-append.
     use std::io::Write;
@@ -324,7 +388,7 @@ fn resume_tolerates_a_torn_manifest_tail() {
         .expect("append torn tail");
     drop(f);
 
-    let out = resume(&dir, "1");
+    let out = resume(&dir, None, "1");
     assert!(
         out.status.success(),
         "resume with torn tail failed: {}",
@@ -342,9 +406,9 @@ fn resume_tolerates_a_torn_manifest_tail() {
 #[test]
 fn resume_of_a_complete_run_is_a_noop() {
     let dir = tmp_dir("noop");
-    assert!(run_sweep(&dir, "1", None).status.success());
+    assert!(run_sweep(&dir, None, "1", None).status.success());
     let before = artifact_tree(&dir);
-    let out = resume(&dir, "1");
+    let out = resume(&dir, None, "1");
     assert!(out.status.success());
     assert!(
         String::from_utf8_lossy(&out.stdout).contains("nothing to do"),
@@ -427,7 +491,7 @@ fn resume_cli_errors_are_clean() {
 #[test]
 fn resume_trace_flag_must_match_the_manifest() {
     let dir = tmp_dir("trace-mismatch");
-    assert!(run_sweep(&dir, "1", None).status.success());
+    assert!(run_sweep(&dir, None, "1", None).status.success());
     let out = Command::new(exe())
         .args(["resume", "run", "--out"])
         .arg(&dir)

@@ -3,22 +3,18 @@
 use std::collections::BTreeMap;
 use std::sync::atomic::AtomicU64;
 use std::sync::Arc;
-use std::time::Instant;
 
 use parking_lot::{Mutex, RwLock};
 use serde::Serialize;
 
 use crate::metrics::{Counter, Gauge, Histogram, HistogramSummary};
-use crate::span::{Span, SpanRecord};
 
 /// Shared state behind an active registry.
 #[derive(Debug)]
-pub(crate) struct Inner {
+struct Inner {
     counters: RwLock<BTreeMap<String, Arc<AtomicU64>>>,
     gauges: RwLock<BTreeMap<String, Arc<AtomicU64>>>,
     histograms: RwLock<BTreeMap<String, Arc<Mutex<Vec<f64>>>>>,
-    pub(crate) spans: Mutex<Vec<SpanRecord>>,
-    pub(crate) epoch: Instant,
 }
 
 /// Handle to a metrics registry, threaded through the simulator,
@@ -40,8 +36,6 @@ impl Registry {
                 counters: RwLock::new(BTreeMap::new()),
                 gauges: RwLock::new(BTreeMap::new()),
                 histograms: RwLock::new(BTreeMap::new()),
-                spans: Mutex::new(Vec::new()),
-                epoch: Instant::now(),
             })),
         }
     }
@@ -96,23 +90,12 @@ impl Registry {
         }))
     }
 
-    /// Opens a timed span; it records itself when dropped. Spans nest
-    /// per thread (see [`SpanRecord::depth`]).
-    pub fn span(&self, name: &'static str) -> Span {
-        match &self.inner {
-            None => Span::noop(),
-            Some(inner) => Span::enter(Arc::clone(inner), name),
-        }
-    }
-
     /// Folds another registry's recordings into this one, in a single
     /// deterministic pass: counters add, gauges overwrite (last merge
-    /// wins), histograms append their raw samples in recording order,
-    /// and spans append with `start_us` re-based onto this registry's
-    /// epoch. Merging a fan-out's per-index registries back in index
+    /// wins), and histograms append their raw samples in recording
+    /// order. Merging a fan-out's per-index registries back in index
     /// order therefore reproduces the exact instrument state of an
-    /// equivalent serial run (spans keep wall-clock timing, which is
-    /// inherently nondeterministic).
+    /// equivalent serial run.
     ///
     /// No-op if either handle is disabled or both are the same
     /// registry.
@@ -138,18 +121,6 @@ impl Registry {
             for &sample in samples.iter() {
                 handle.record(sample);
             }
-        }
-        // Spans carry offsets from their own registry's epoch; shift
-        // them onto ours (a source created before us clamps to 0).
-        let delta_us = src
-            .epoch
-            .checked_duration_since(dst.epoch)
-            .map_or(0, |d| d.as_micros() as u64);
-        let src_spans = src.spans.lock().clone();
-        let mut spans = dst.spans.lock();
-        for mut record in src_spans {
-            record.start_us += delta_us;
-            spans.push(record);
         }
     }
 
@@ -184,12 +155,11 @@ impl Registry {
             .iter()
             .map(|(k, v)| (k.clone(), HistogramSummary::from_samples(&v.lock())))
             .collect();
-        let spans = inner.spans.lock().clone();
         Snapshot {
             counters,
             gauges,
             histograms,
-            spans,
+            spans: Vec::new(),
         }
     }
 }
@@ -204,8 +174,22 @@ pub struct Snapshot {
     pub gauges: BTreeMap<String, f64>,
     /// Histogram digests by name.
     pub histograms: BTreeMap<String, HistogramSummary>,
-    /// Completed spans in completion order.
+    /// Always empty: a registry records no wall-clock time. The field
+    /// keeps the `spans` key that every `metrics.json` has carried.
     pub spans: Vec<SpanRecord>,
+}
+
+/// The element type of [`Snapshot::spans`], which is always empty.
+#[derive(Debug, Clone, PartialEq, Serialize)]
+pub struct SpanRecord {
+    /// Span name.
+    pub name: String,
+    /// Nesting depth at entry (0 = top level on its thread).
+    pub depth: u32,
+    /// Start offset, microseconds.
+    pub start_us: u64,
+    /// Wall-clock duration, microseconds.
+    pub dur_us: u64,
 }
 
 #[cfg(test)]
@@ -287,9 +271,6 @@ mod tests {
         shard.gauge("level").set(2.0);
         shard.histogram("lat").record(2.0);
         shard.histogram("lat").record(3.0);
-        {
-            let _s = shard.span("shard.work");
-        }
 
         parent.merge_from(&shard);
         let snap = parent.snapshot();
@@ -298,8 +279,6 @@ mod tests {
         assert_eq!(snap.gauges["level"], 2.0);
         assert_eq!(snap.histograms["lat"].count, 3);
         assert_eq!(snap.histograms["lat"].max, 3.0);
-        assert_eq!(snap.spans.len(), 1);
-        assert_eq!(snap.spans[0].name, "shard.work");
     }
 
     #[test]

@@ -257,7 +257,7 @@ pub(crate) fn simulate_longhand(
 
 /// The one instrumented driver behind
 /// [`simulate`](crate::simulate::simulate) and [`simulate_faulty`]:
-/// budget admission, delta dispatch, span and journal enter/exit, and
+/// budget admission, delta dispatch, journal enter/exit, and
 /// metric recording. `plan` is either armed or exactly
 /// [`FaultPlan::disarmed`]; the disarmed run is the clean path, recorded
 /// under the `sched.simulate` names without any `sched.fault.*`
@@ -277,7 +277,6 @@ pub(crate) fn drive(
         "sched.simulate"
     };
     let registry = &ctx.registry;
-    let _span = registry.span(name);
     let j = &ctx.journal;
     let js = j.enter(name, 0, 0);
 

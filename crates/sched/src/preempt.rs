@@ -507,7 +507,6 @@ pub fn simulate_preemptive(
         "configuration-port bandwidth must be positive"
     );
     let registry = &ctx.registry;
-    let _span = registry.span("sched.simulate_preemptive");
     let j = &ctx.journal;
     let js = j.enter("sched.simulate_preemptive", 0, 0);
     // Budget hook: each periodic task is one charged event, and the

@@ -523,7 +523,6 @@ fn run_frtr_impl(
     plan: &FaultPlan,
 ) -> Result<ExecutionReport, SimError> {
     let registry = &ctx.registry;
-    let _span = registry.span("sim.run_frtr");
     let j = &ctx.journal;
     let tid_host = Lane::Host.chrome_tid();
     let tid_cfg = Lane::ConfigPort.chrome_tid();
@@ -760,7 +759,6 @@ fn run_prtr_impl(
         )));
     }
 
-    let _span = registry.span("sim.run_prtr");
     let j = &ctx.journal;
     let tid_host = Lane::Host.chrome_tid();
     let tid_cfg = Lane::ConfigPort.chrome_tid();
@@ -1236,8 +1234,6 @@ mod tests {
         assert!((snap.gauges["sim.prtr.lane_busy_s.config"] - busy).abs() < 1e-12);
         let util = busy / traced.total_s();
         assert!((snap.gauges["sim.prtr.config_port.utilization"] - util).abs() < 1e-9);
-        assert_eq!(snap.spans.len(), 1);
-        assert_eq!(snap.spans[0].name, "sim.run_prtr");
     }
 
     #[test]

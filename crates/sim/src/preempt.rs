@@ -205,7 +205,6 @@ fn run_preemptive_impl(
         )));
     }
 
-    let _span = registry.span("sim.run_preemptive");
     let j = &ctx.journal;
     let tid_host = Lane::Host.chrome_tid();
     let tid_cfg = Lane::ConfigPort.chrome_tid();

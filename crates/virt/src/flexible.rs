@@ -147,7 +147,6 @@ pub fn run_flexible(
     ctx: &hprc_ctx::ExecCtx,
 ) -> Result<FlexReport, VirtError> {
     let registry = &ctx.registry;
-    let _span = registry.span("virt.run_flexible");
     if apps.is_empty() {
         return Err(VirtError::NoApplications);
     }
@@ -533,8 +532,6 @@ mod tests {
             traced.n_config
         );
         assert!((snap.gauges["virt.flex.makespan_s"] - traced.makespan_s).abs() < 1e-12);
-        assert_eq!(snap.spans.len(), 1);
-        assert_eq!(snap.spans[0].name, "virt.run_flexible");
         assert!(snap.counters["sim.queue.popped"] >= traced.calls);
     }
 

@@ -67,7 +67,6 @@ fn main() {
         lat.p50 * 1e3,
         lat.p99 * 1e3
     );
-    println!("  spans recorded:         {}", snap.spans.len());
 
     // The PRTR timeline doubles as a Chrome trace (Perfetto-loadable).
     let events = timeline.chrome_events(1);

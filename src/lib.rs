@@ -19,9 +19,10 @@
 //! * [`attr`] (`hprc-attr`) — wall-clock attribution over timelines:
 //!   exclusive time buckets with a machine-checked sum identity, hiding
 //!   efficiency, and measured-vs-Eq(7) bound gaps;
-//! * [`obs`] (`hprc-obs`) — zero-dependency metrics (counters, gauges,
-//!   histograms), hierarchical timed spans, and Chrome trace-event
-//!   export, wired through the simulator, scheduler, and runner;
+//! * [`obs`] (`hprc-obs`) — zero-dependency logical metrics (counters,
+//!   gauges, histograms), the causal run journal, and Chrome
+//!   trace-event export, wired through the simulator, scheduler, and
+//!   runner;
 //! * [`ctx`] (`hprc-ctx`) — the execution-context layer: one [`ExecCtx`]
 //!   (registry, journal, seed, parallelism, run budget, delta cache)
 //!   threaded through every substrate entry point;
