@@ -72,8 +72,8 @@ pub struct ExecCtx {
     pub budget: RunBudget,
     /// Delta-simulation skeleton cache. [`DeltaCache::disabled`] (the
     /// default) makes every memoization hook a single branch; an
-    /// enabled cache lets sweeps replay memoized schedule prefixes
-    /// instead of re-simulating from scratch, with byte-identical
+    /// enabled cache lets sweeps replay memoized schedules of equal
+    /// runs instead of re-simulating them, with byte-identical
     /// results.
     pub delta: DeltaCache,
 }

@@ -117,10 +117,7 @@ pub fn run(ctx: &ExecCtx) -> Report {
     rows.push(Row {
         quantity: "Delta cache: warm-pass reuse (demo)".into(),
         paper: "n/a".into(),
-        ours: format!(
-            "{} full + {} resumed / {} lookups",
-            acct.full_hits, acct.resumes, acct.lookups
-        ),
+        ours: format!("{} full hits / {} lookups", acct.full_hits, acct.lookups),
     });
     rows.push(Row {
         quantity: "Delta cache: calls replayed (demo)".into(),
@@ -188,7 +185,7 @@ mod tests {
                 .unwrap()
                 .to_string()
         };
-        assert_eq!(ours("warm-pass reuse"), "7 full + 0 resumed / 8 lookups");
+        assert_eq!(ours("warm-pass reuse"), "7 full hits / 8 lookups");
         assert_eq!(ours("calls replayed"), "840 replayed, 120 re-simulated");
     }
 }

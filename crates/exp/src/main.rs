@@ -207,9 +207,9 @@ fn main() -> ExitCode {
     // runner when only one does. Each experiment gets its own registry
     // so metrics files don't bleed into each other.
     let inner_jobs = if ids.len() == 1 { jobs } else { 1 };
-    // One process-wide delta cache (unless --no-delta): skeleton and
-    // report replays are byte-identical to longhand runs, so sharing it
-    // across experiments and worker threads never perturbs artifacts.
+    // One process-wide delta cache (unless --no-delta): skeleton
+    // replays are byte-identical to longhand runs, so sharing it across
+    // experiments and worker threads never perturbs artifacts.
     let delta = if use_delta {
         hprc_obs::DeltaCache::new(hprc_obs::DEFAULT_DELTA_BYTES)
     } else {

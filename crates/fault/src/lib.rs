@@ -460,42 +460,6 @@ impl FaultPlan {
         fate
     }
 
-    /// Whether this plan and `other` decree identical fates for call
-    /// `call` on a device with `n_slots` PRRs: every partial attempt
-    /// the deeper of the two retry policies could reach, every full
-    /// attempt likewise, and the SEU sweep over all slots. This is the
-    /// blind form of the delta-simulation layer's divergence predicate
-    /// (which compares only the draws a memoized run consulted): thanks
-    /// to the coupled uniforms, two plans with the same seed agree on a
-    /// long prefix of calls, and the first disagreeing call bounds how
-    /// much of a memoized skeleton may be replayed. Recovery-policy
-    /// knobs are *not* compared here (they are part of the skeleton
-    /// cache key), and neither are context-restore draws (the
-    /// preemptive path is never prefix-resumed).
-    pub fn agrees_at(&self, other: &FaultPlan, call: u64, n_slots: usize) -> bool {
-        let partials = self
-            .policy
-            .max_partial_attempts
-            .max(other.policy.max_partial_attempts)
-            .max(1);
-        for attempt in 1..=partials {
-            if self.partial_attempt(call, attempt) != other.partial_attempt(call, attempt) {
-                return false;
-            }
-        }
-        let fulls = self
-            .policy
-            .max_full_attempts
-            .max(other.policy.max_full_attempts)
-            .max(1);
-        for attempt in 1..=fulls {
-            if self.full_attempt(call, attempt) != other.full_attempt(call, attempt) {
-                return false;
-            }
-        }
-        (0..n_slots).all(|s| self.seu_strikes(call, s) == other.seu_strikes(call, s))
-    }
-
     /// Whether a fleet-level chaos sweep kills simulated node `node`
     /// mid-run, and if so at which of its `n_calls` calls (the node
     /// serves calls `0..k` and is dead for the rest). Draws from its
@@ -558,18 +522,6 @@ impl FaultState {
     /// The underlying plan.
     pub fn plan(&self) -> &FaultPlan {
         &self.plan
-    }
-
-    /// Swaps the underlying plan while keeping the accumulated
-    /// escalation/blacklist state. The delta-simulation layer restores
-    /// a memoized snapshot (whose state was accumulated under the
-    /// *memoized* plan) and then re-points it at the sweep point's own
-    /// plan before resuming — valid exactly because the snapshot index
-    /// precedes the first call where the two plans disagree
-    /// ([`FaultPlan::agrees_at`]), so both plans produced the same
-    /// fates, escalations, and blacklists over the replayed prefix.
-    pub fn set_plan(&mut self, plan: FaultPlan) {
-        self.plan = plan;
     }
 
     /// True if `slot` is blacklisted (out-of-range slots count as
@@ -672,45 +624,6 @@ mod tests {
             .map(|c| plan.draw(FaultSite::IcapTimeout, c, 1))
             .collect();
         assert_ne!(a, b);
-    }
-
-    #[test]
-    fn agrees_at_matches_brute_force_fate_comparison() {
-        let a = armed_plan(0.10, 11);
-        let b = armed_plan(0.25, 11); // same seed: coupled uniforms
-        let slots = 4;
-        for call in 0..256u64 {
-            // The predicate must be at least as strict as "same fates
-            // and same SEU sweep": wherever it claims agreement, the
-            // observable per-call behavior is identical.
-            if a.agrees_at(&b, call, slots) {
-                assert_eq!(a.partial_fate(call), b.partial_fate(call));
-                assert_eq!(a.full_fate(call), b.full_fate(call));
-                for s in 0..slots {
-                    assert_eq!(a.seu_strikes(call, s), b.seu_strikes(call, s));
-                }
-            }
-        }
-        // Identical plans agree everywhere; coupled plans with very
-        // different rates disagree somewhere in a long enough window.
-        assert!((0..256).all(|c| a.agrees_at(&a, c, slots)));
-        assert!((0..256).any(|c| !a.agrees_at(&b, c, slots)));
-    }
-
-    #[test]
-    fn set_plan_keeps_accumulated_state() {
-        let mut state = FaultState::new(armed_plan(1.0, 5), 2);
-        // Rate 1.0: every partial attempt faults, so every miss
-        // escalates and (with default blacklist_after) blacklists.
-        while !state.is_blacklisted(0) {
-            state.on_miss(0, 0);
-        }
-        let esc = state.escalations(0);
-        state.set_plan(armed_plan(0.0, 5));
-        assert!(state.is_blacklisted(0), "blacklist survives the swap");
-        assert_eq!(state.escalations(0), esc);
-        assert!(!state.plan().armed(), "the new plan is in force");
-        assert!(state.on_miss(7, 1).is_clean());
     }
 
     #[test]

@@ -2,7 +2,8 @@
 //!
 //! [`DeltaCache`] is a process-local, size-bounded memo store for the
 //! delta re-simulation path: the scheduler caches *schedule skeletons*
-//! (decision traces plus periodic resume snapshots) in it. Keys are
+//! (a run's decision outcome and final policy state, replayed whole
+//! when an equal run comes again) in it. Keys are
 //! opaque byte strings built by the owning layer from every input that
 //! can change the memoized result — the cache itself never interprets
 //! them, it only stores `Arc<dyn Any>` values with an approximate byte
@@ -37,25 +38,21 @@ use serde::Serialize;
 /// invisible next to the host's memory.
 pub const DEFAULT_DELTA_BYTES: u64 = 64 * 1024 * 1024;
 
-/// The accounting snapshot of one [`DeltaCache`] — the delta analogue
-/// of [`BudgetAccount`](crate::BudgetAccount), rendered by the
-/// `summary` experiment.
+/// The accounting snapshot of one [`DeltaCache`], rendered by the
+/// `summary` experiment. Every lookup is either a full hit or a miss.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize)]
 pub struct DeltaAccount {
     /// Skeleton lookups performed.
     pub lookups: u64,
     /// Lookups answered entirely from a memoized skeleton (the whole
-    /// run replayed as one closed-form jump).
+    /// run replayed from one earlier run with an equal trace and plan).
     pub full_hits: u64,
-    /// Lookups answered by replaying a shared prefix and re-simulating
-    /// longhand from the first divergent call.
-    pub resumes: u64,
-    /// Lookups that found nothing reusable.
+    /// Lookups that found no equal run and simulated longhand.
     pub misses: u64,
     /// Calls replayed from memoized decision traces instead of being
     /// re-simulated.
     pub calls_replayed: u64,
-    /// Calls re-simulated longhand (divergent suffixes and cold runs).
+    /// Calls simulated longhand by misses.
     pub calls_resimulated: u64,
     /// Skeletons stored (including overwrites of a stale variant).
     pub stored: u64,
@@ -65,24 +62,6 @@ pub struct DeltaAccount {
     pub entries: u64,
     /// Approximate bytes currently held.
     pub bytes_held: u64,
-}
-
-impl DeltaAccount {
-    /// Folds another account into this one (for merging per-cache
-    /// accounts in a fixed order). Gauges (`entries`, `bytes_held`)
-    /// add; so do all the counters.
-    pub fn absorb(&mut self, other: &DeltaAccount) {
-        self.lookups += other.lookups;
-        self.full_hits += other.full_hits;
-        self.resumes += other.resumes;
-        self.misses += other.misses;
-        self.calls_replayed += other.calls_replayed;
-        self.calls_resimulated += other.calls_resimulated;
-        self.stored += other.stored;
-        self.evictions += other.evictions;
-        self.entries += other.entries;
-        self.bytes_held += other.bytes_held;
-    }
 }
 
 /// One stored skeleton: the opaque value, its approximate size, and
@@ -105,7 +84,6 @@ struct Shared {
     store: Mutex<Store>,
     lookups: AtomicU64,
     full_hits: AtomicU64,
-    resumes: AtomicU64,
     misses: AtomicU64,
     calls_replayed: AtomicU64,
     calls_resimulated: AtomicU64,
@@ -155,7 +133,6 @@ impl DeltaCache {
             }),
             lookups: AtomicU64::new(0),
             full_hits: AtomicU64::new(0),
-            resumes: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             calls_replayed: AtomicU64::new(0),
             calls_resimulated: AtomicU64::new(0),
@@ -176,10 +153,9 @@ impl DeltaCache {
 
     /// Looks up a skeleton and marks it most-recently-used. Counts one
     /// lookup; the caller classifies the result via
-    /// [`note_full_hit`](DeltaCache::note_full_hit) /
-    /// [`note_resume`](DeltaCache::note_resume) /
-    /// [`note_miss`](DeltaCache::note_miss) once it has computed the
-    /// divergence point.
+    /// [`note_full_hit`](DeltaCache::note_full_hit) or
+    /// [`note_miss`](DeltaCache::note_miss) once it has matched the
+    /// stored runs against its own.
     pub fn get(&self, key: &[u8]) -> Option<Arc<dyn Any + Send + Sync>> {
         let shared = self.0.as_ref()?;
         shared.lookups.fetch_add(1, Ordering::Relaxed);
@@ -234,17 +210,6 @@ impl DeltaCache {
         }
     }
 
-    /// Records a first-divergence resume: `replayed` calls came from
-    /// the skeleton, `resimulated` ran longhand.
-    pub fn note_resume(&self, replayed: u64, resimulated: u64) {
-        if let Some(s) = &self.0 {
-            s.resumes.fetch_add(1, Ordering::Relaxed);
-            s.calls_replayed.fetch_add(replayed, Ordering::Relaxed);
-            s.calls_resimulated
-                .fetch_add(resimulated, Ordering::Relaxed);
-        }
-    }
-
     /// Records a miss that re-simulated `calls` calls longhand.
     pub fn note_miss(&self, calls: u64) {
         if let Some(s) = &self.0 {
@@ -261,7 +226,6 @@ impl DeltaCache {
         Some(DeltaAccount {
             lookups: s.lookups.load(Ordering::Relaxed),
             full_hits: s.full_hits.load(Ordering::Relaxed),
-            resumes: s.resumes.load(Ordering::Relaxed),
             misses: s.misses.load(Ordering::Relaxed),
             calls_replayed: s.calls_replayed.load(Ordering::Relaxed),
             calls_resimulated: s.calls_resimulated.load(Ordering::Relaxed),
@@ -274,7 +238,7 @@ impl DeltaCache {
 }
 
 /// Canonical little-endian byte packing helpers for delta cache keys
-/// and policy state snapshots. One shared vocabulary keeps every
+/// and policy state encodings. One shared vocabulary keeps every
 /// layer's encoding collision-free by construction (length-prefixed
 /// variable parts, fixed-width scalars).
 pub mod bytes {
@@ -389,41 +353,15 @@ mod tests {
     }
 
     #[test]
-    fn account_tallies_hits_resumes_and_misses() {
+    fn account_tallies_hits_and_misses() {
         let c = DeltaCache::new(1024);
         c.note_full_hit(300);
-        c.note_resume(100, 200);
         c.note_miss(300);
         let a = c.account().unwrap();
         assert_eq!(a.full_hits, 1);
-        assert_eq!(a.resumes, 1);
         assert_eq!(a.misses, 1);
-        assert_eq!(a.calls_replayed, 400);
-        assert_eq!(a.calls_resimulated, 500);
-    }
-
-    #[test]
-    fn absorb_folds_accounts() {
-        let mut a = DeltaAccount {
-            lookups: 2,
-            full_hits: 1,
-            calls_replayed: 10,
-            ..DeltaAccount::default()
-        };
-        let b = DeltaAccount {
-            lookups: 3,
-            misses: 2,
-            calls_resimulated: 7,
-            bytes_held: 100,
-            ..DeltaAccount::default()
-        };
-        a.absorb(&b);
-        assert_eq!(a.lookups, 5);
-        assert_eq!(a.full_hits, 1);
-        assert_eq!(a.misses, 2);
-        assert_eq!(a.calls_replayed, 10);
-        assert_eq!(a.calls_resimulated, 7);
-        assert_eq!(a.bytes_held, 100);
+        assert_eq!(a.calls_replayed, 300);
+        assert_eq!(a.calls_resimulated, 300);
     }
 
     #[test]

@@ -77,29 +77,27 @@ fn first_usable(state: &FaultState, slots: usize) -> usize {
     (0..slots).find(|&s| !state.is_blacklisted(s)).unwrap_or(0)
 }
 
-/// The resumable core of every cache simulation: all mutable run state
-/// in one struct, advanced one call at a time. The delta layer
-/// snapshots and restores it mid-trace (swapping in the sweep point's
-/// own plan via [`FaultState::set_plan`]); the longhand path drives it
-/// start to finish. Per-call fates are recorded under an armed plan
-/// only: a disarmed run's fates are all clean.
-pub(crate) struct FaultySim {
-    pub(crate) slots: usize,
-    pub(crate) armed: bool,
-    pub(crate) state: FaultState,
-    pub(crate) cache: ConfigCache,
-    pub(crate) stats: CacheStats,
-    pub(crate) outcomes: Vec<CallOutcome>,
-    pub(crate) fates: Vec<CallFate>,
-    pub(crate) speculative: HashSet<TaskId>,
-    pub(crate) seu_invalidations: u64,
-    pub(crate) escalation_wipes: u64,
-    pub(crate) dropped: u64,
+/// The core of every cache simulation: all mutable run state in one
+/// struct, advanced one call at a time by [`simulate_longhand`].
+/// Per-call fates are recorded under an armed plan only: a disarmed
+/// run's fates are all clean.
+struct FaultySim {
+    slots: usize,
+    armed: bool,
+    state: FaultState,
+    cache: ConfigCache,
+    stats: CacheStats,
+    outcomes: Vec<CallOutcome>,
+    fates: Vec<CallFate>,
+    speculative: HashSet<TaskId>,
+    seu_invalidations: u64,
+    escalation_wipes: u64,
+    dropped: u64,
 }
 
 impl FaultySim {
     /// A fresh run over a `calls`-long trace.
-    pub(crate) fn new(plan: FaultPlan, slots: usize, calls: usize) -> Self {
+    fn new(plan: FaultPlan, slots: usize, calls: usize) -> Self {
         let armed = plan.armed();
         FaultySim {
             slots,
@@ -117,7 +115,7 @@ impl FaultySim {
     }
 
     /// Processes call `i` of the trace (task `task`).
-    pub(crate) fn step(&mut self, i: usize, task: TaskId, policy: &mut dyn Policy, prefetch: bool) {
+    fn step(&mut self, i: usize, task: TaskId, policy: &mut dyn Policy, prefetch: bool) {
         let slots = self.slots;
         self.stats.calls += 1;
         let resident_slot = self.cache.slot_of(task);
@@ -224,7 +222,7 @@ impl FaultySim {
         }
     }
 
-    pub(crate) fn finish(self) -> FaultyOutcome {
+    fn finish(self) -> FaultyOutcome {
         FaultyOutcome {
             base: SimulationOutcome {
                 stats: self.stats,
@@ -285,10 +283,10 @@ pub(crate) fn drive(
     // and tallied as would-have-run; an unlimited budget admits all.
     let trace = &trace[..ctx.budget.admit(trace.len())];
 
-    // Delta path: memoized skeletons replay shared prefixes of earlier
-    // runs (with the first plan disagreement bounding the replay). All
-    // recording below derives from the outcome alone, so the swap is
-    // invisible to every artifact — including instrumented runs.
+    // Delta path: a memoized skeleton replays an earlier run with an
+    // equal trace and an equal plan whole. All recording below derives
+    // from the outcome alone, so the swap is invisible to every
+    // artifact — including instrumented runs.
     let out = if ctx.delta.is_enabled() {
         crate::delta::simulate_delta(trace, slots, policy, prefetch, plan, &ctx.delta)
     } else {

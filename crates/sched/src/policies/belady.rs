@@ -63,13 +63,6 @@ impl Policy for Belady {
     fn delta_restore(&mut self, state: &[u8]) -> bool {
         state.is_empty()
     }
-
-    fn delta_prefix_safe(&self) -> bool {
-        // Clairvoyant: victim choices consult *future* occurrences, so
-        // a memoized prefix is invalid under any different future. A
-        // skeleton may only be reused when the whole trace matches.
-        false
-    }
 }
 
 #[cfg(test)]

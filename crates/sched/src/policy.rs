@@ -92,14 +92,16 @@ pub trait Policy {
     /// A canonical byte encoding of the policy's mutable decision state
     /// for the delta-simulation layer, or `None` to opt out of
     /// memoization entirely (the default — a policy the skeleton cache
-    /// does not know how to snapshot is simply never memoized).
+    /// cannot encode is simply never memoized).
     ///
     /// Two requirements: (a) the encoding is *canonical* — equal
     /// decision state encodes to equal bytes, independent of insertion
-    /// order or process — because it lands in skeleton cache keys; and
-    /// (b) [`delta_restore`](Policy::delta_restore) of the bytes
-    /// reproduces a policy whose every future decision matches the
-    /// encoded one. State rebuilt by
+    /// order or process — because the state a run starts from lands in
+    /// the skeleton cache key; and (b)
+    /// [`delta_restore`](Policy::delta_restore) of the bytes reproduces
+    /// a policy whose every future decision matches the encoded one,
+    /// because a replayed run leaves the policy in the state its
+    /// memoized run ended in. State rebuilt by
     /// [`observe_trace`](Policy::observe_trace) (oracle futures) is
     /// excluded: the restore path always replays `observe_trace` first.
     fn delta_state(&self) -> Option<Vec<u8>> {
@@ -114,15 +116,5 @@ pub trait Policy {
     fn delta_restore(&mut self, state: &[u8]) -> bool {
         let _ = state;
         false
-    }
-
-    /// Whether a memoized decision prefix of this policy remains valid
-    /// when the *future* of the trace changes. True for every causal
-    /// policy (decisions depend only on the past); **false** for
-    /// clairvoyant ones like Belady, whose victim choices consult
-    /// future occurrences — their skeletons may only be reused when
-    /// the entire trace matches.
-    fn delta_prefix_safe(&self) -> bool {
-        true
     }
 }
