@@ -114,9 +114,22 @@ fn str_field(v: &Value, key: &str, line: usize) -> Result<String, String> {
         .ok_or_else(|| format!("manifest line {line}: missing string field {key:?}"))
 }
 
+/// The `id` of a point entry, which must be one the intent lists.
+fn point_id(v: &Value, m: &ParsedManifest, line: usize) -> Result<String, String> {
+    let id = str_field(v, "id", line)?;
+    if !m.ids.contains(&id) {
+        return Err(format!(
+            "manifest line {line}: id {id:?} is not in the intent"
+        ));
+    }
+    Ok(id)
+}
+
 /// Parses a manifest. Only the *final* line may be malformed (the
 /// signature of a crash mid-append); a bad line anywhere else is an
-/// error, as is a seq discontinuity.
+/// error, as is a seq discontinuity. Points are keyed by id, so an
+/// intent that repeats an id, or a point entry for an id the intent
+/// does not list, is an error too.
 pub fn parse_manifest(text: &str) -> Result<ParsedManifest, String> {
     let mut parsed: Option<ParsedManifest> = None;
     let mut consumed = 0usize;
@@ -169,6 +182,15 @@ pub fn parse_manifest(text: &str) -> Result<ParsedManifest, String> {
                             .ok_or_else(|| format!("manifest line {line_no}: non-string id"))
                     })
                     .collect::<Result<Vec<_>, _>>()?;
+                if let Some(dup) = ids
+                    .iter()
+                    .enumerate()
+                    .find_map(|(i, id)| ids[..i].contains(id).then_some(id))
+                {
+                    return Err(format!(
+                        "manifest line {line_no}: intent repeats id {dup:?}"
+                    ));
+                }
                 parsed = Some(ParsedManifest {
                     run: str_field(&entry, "run", line_no)?,
                     ids,
@@ -193,7 +215,7 @@ pub fn parse_manifest(text: &str) -> Result<ParsedManifest, String> {
                 return Err(format!("manifest line {line_no}: duplicate intent entry"))
             }
             (Some(m), "point-begin") => {
-                let id = str_field(&entry, "id", line_no)?;
+                let id = point_id(&entry, m, line_no)?;
                 let rec = m.points.entry(id).or_default();
                 // A re-begin (resume redoing a point) voids old seals.
                 rec.begun = true;
@@ -201,7 +223,7 @@ pub fn parse_manifest(text: &str) -> Result<ParsedManifest, String> {
                 rec.sealed.clear();
             }
             (Some(m), "artifact-sealed") => {
-                let id = str_field(&entry, "id", line_no)?;
+                let id = point_id(&entry, m, line_no)?;
                 let dir = str_field(&entry, "dir", line_no)?;
                 let dir = ArtifactDirKind::parse(&dir)
                     .ok_or_else(|| format!("manifest line {line_no}: unknown dir {dir:?}"))?;
@@ -228,7 +250,7 @@ pub fn parse_manifest(text: &str) -> Result<ParsedManifest, String> {
                 });
             }
             (Some(m), "point-complete") => {
-                let id = str_field(&entry, "id", line_no)?;
+                let id = point_id(&entry, m, line_no)?;
                 m.points.entry(id).or_default().complete = true;
             }
             (Some(m), "run-complete") => m.run_complete = true,
@@ -715,8 +737,13 @@ fn truncate_file(path: &Path, len: u64) -> io::Result<()> {
 mod tests {
     use super::*;
 
+    /// The text of a manifest whose table2 point completed and whose
+    /// fig5 point never began. Each call writes and removes its own
+    /// directory, so tests running in parallel never share a file.
     fn sample_manifest() -> String {
-        let dir = std::env::temp_dir().join(format!("hprc-recover-{}", std::process::id()));
+        static CALLS: AtomicUsize = AtomicUsize::new(0);
+        let n = CALLS.fetch_add(1, Ordering::Relaxed);
+        let dir = std::env::temp_dir().join(format!("hprc-recover-{}-{n}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("m.jsonl");
         let mut m = Manifest::create(&path, None).unwrap();
@@ -726,7 +753,9 @@ mod tests {
         m.artifact_sealed("table2", ArtifactDirKind::Out, "table2.json", 0xAB, 10)
             .unwrap();
         m.point_complete("table2").unwrap();
-        std::fs::read_to_string(&path).unwrap()
+        let text = std::fs::read_to_string(&path).unwrap();
+        std::fs::remove_dir_all(&dir).unwrap();
+        text
     }
 
     #[test]
@@ -810,6 +839,36 @@ mod tests {
             assert!(
                 err.starts_with("manifest line 3: sealed name"),
                 "{bad}: {err}"
+            );
+        }
+    }
+
+    #[test]
+    fn parse_rejects_repeated_and_unlisted_ids() {
+        let intent = |ids: &str| {
+            format!(
+                "{{\"seq\":0,\"ev\":\"intent\",\"schema\":\"{MANIFEST_SCHEMA}\",\"run\":\"r\",\"ids\":{ids},\"seed\":0,\"trace\":false}}\n"
+            )
+        };
+        // Points are keyed by id: a repeated intent id would re-execute
+        // every copy of a point that already completed.
+        let repeated = format!(
+            "{}{{\"seq\":1,\"ev\":\"point-begin\",\"id\":\"table1\"}}\n",
+            intent("[\"table1\",\"table1\"]")
+        );
+        let err = parse_manifest(&repeated).unwrap_err();
+        assert_eq!(err, "manifest line 1: intent repeats id \"table1\"");
+        // Every kind of point entry must name an intended id.
+        for entry in [
+            "\"ev\":\"point-begin\",\"id\":\"table2\"",
+            "\"ev\":\"artifact-sealed\",\"id\":\"table2\",\"dir\":\"out\",\"name\":\"table2.json\",\"crc\":\"000000ab\",\"bytes\":10",
+            "\"ev\":\"point-complete\",\"id\":\"table2\"",
+        ] {
+            let text = format!("{}{{\"seq\":1,{entry}}}\n", intent("[\"table1\"]"));
+            let err = parse_manifest(&text).unwrap_err();
+            assert_eq!(
+                err, "manifest line 2: id \"table2\" is not in the intent",
+                "{entry}"
             );
         }
     }
