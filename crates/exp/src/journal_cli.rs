@@ -506,11 +506,13 @@ mod tests {
 
     #[test]
     fn summarize_counts_chains_and_flows() {
-        let dir = std::env::temp_dir().join("hprc-journal-cli-test");
+        let dir =
+            std::env::temp_dir().join(format!("hprc-journal-cli-sample-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("sample.journal.jsonl");
         std::fs::write(&path, sample()).unwrap();
         let text = summarize(path.to_str().unwrap()).unwrap();
+        std::fs::remove_dir_all(&dir).unwrap();
         assert!(text.contains("experiment sample  seed 7"), "{text}");
         assert!(
             text.contains("fault chains: 1 (2 fault/retry/escalate links)"),
@@ -530,11 +532,13 @@ mod tests {
         let budget = hprc_obs::RunBudget::events(2);
         budget.admit(3);
         j.set_budget_account(budget.account().unwrap());
-        let dir = std::env::temp_dir().join("hprc-journal-cli-test");
+        let dir =
+            std::env::temp_dir().join(format!("hprc-journal-cli-budget-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("budget.journal.jsonl");
         std::fs::write(&path, j.to_jsonl("budgeted", 1)).unwrap();
         let text = summarize(path.to_str().unwrap()).unwrap();
+        std::fs::remove_dir_all(&dir).unwrap();
         assert!(
             text.contains(
                 "budget max_events=2 charged_events=2 cutoff_seq=3 would_have_run=1 runs_cut=1"

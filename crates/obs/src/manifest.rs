@@ -234,7 +234,7 @@ mod tests {
         assert!(lines[2].contains("\"crc\":\"deadbeef\""));
         assert!(lines[2].contains("\"dir\":\"out\""));
         assert!(lines[4].contains("\"ev\":\"run-complete\""));
-        fs::remove_file(&path).unwrap();
+        fs::remove_dir_all(path.parent().unwrap()).unwrap();
     }
 
     #[test]
@@ -252,7 +252,7 @@ mod tests {
         assert!(lines[1].starts_with("{\"seq\":1,\"ev\":\"resume\""));
         assert!(lines[1].contains("\"salvaged\":[\"a\"]"));
         assert!(lines[2].starts_with("{\"seq\":2,"));
-        fs::remove_file(&path).unwrap();
+        fs::remove_dir_all(path.parent().unwrap()).unwrap();
     }
 
     #[test]
