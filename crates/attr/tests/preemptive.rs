@@ -8,7 +8,6 @@
 
 use hprc_attr::Buckets;
 use hprc_ctx::{ExecCtx, Symbol};
-use hprc_fault::{FaultPlan, FaultSpec, RecoveryPolicy};
 use hprc_fpga::floorplan::Floorplan;
 use hprc_sched::preempt::{
     simulate_preemptive, Edf, PreemptCosts, RtTask, ScheduleSegment, StrictPriority,
@@ -16,7 +15,7 @@ use hprc_sched::preempt::{
 use hprc_sched::TaskId;
 use hprc_sim::node::NodeConfig;
 use hprc_sim::preempt::{run_preemptive, run_preemptive_reference, PreemptSegment};
-use hprc_sim::time::{SimDuration, SimTime};
+use hprc_sim::time::SimTime;
 use hprc_sim::trace::ActivityClass;
 use proptest::prelude::*;
 
@@ -30,20 +29,15 @@ fn to_sim_segments(segments: &[ScheduleSegment]) -> Vec<PreemptSegment> {
             decision_start: SimTime(s.decision.start_ns),
             decision_end: SimTime(s.decision.end_ns),
             config: s.config.map(|w| (SimTime(w.start_ns), SimTime(w.end_ns))),
-            config_clean: SimDuration(s.config_clean_ns),
             restore: s.restore.map(|w| (SimTime(w.start_ns), SimTime(w.end_ns))),
-            restore_clean: SimDuration(s.restore_clean_ns),
             control_start: SimTime(s.control.start_ns),
             control_end: SimTime(s.control.end_ns),
             exec_start: SimTime(s.exec.start_ns),
             exec_end: SimTime(s.exec.end_ns),
             save: s.save.map(|w| (SimTime(w.start_ns), SimTime(w.end_ns))),
             hit: s.hit,
-            forced_full: s.forced_full,
             resumed: s.resumed,
             preempted: s.preempted,
-            dropped: s.dropped,
-            clean: s.clean,
         })
         .collect()
 }
@@ -53,7 +47,6 @@ fn costs() -> PreemptCosts {
         t_decision_s: 2e-6,
         t_control_s: 4.8e-6,
         t_partial_s: 1e-3,
-        t_full_s: 14e-3,
         quantum_s: 0.5e-3,
         port_bytes_per_s: 1e8,
     }
@@ -70,7 +63,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// Identity and config-busy reconstruction on engine-produced
-    /// preemptive schedules across policies and fault regimes.
+    /// preemptive schedules across policies.
     #[test]
     fn buckets_partition_preemptive_spans_exactly(
         specs in proptest::collection::vec(
@@ -78,8 +71,6 @@ proptest! {
             1..4,
         ),
         edf in any::<bool>(),
-        armed in any::<bool>(),
-        fault_seed in any::<u64>(),
     ) {
         let tasks: Vec<RtTask> = specs
             .iter()
@@ -94,17 +85,12 @@ proptest! {
                 phase_s: phase as f64 * 1e-4,
             })
             .collect();
-        let plan = if armed {
-            FaultPlan::new(FaultSpec::uniform(0.2), RecoveryPolicy::default(), fault_seed)
-        } else {
-            FaultPlan::disarmed()
-        };
         let outcome = if edf {
             simulate_preemptive(
-                &tasks, 2, &mut Edf::new(), &costs(), &plan, &ExecCtx::default())
+                &tasks, 2, &mut Edf::new(), &costs(), &ExecCtx::default())
         } else {
             simulate_preemptive(
-                &tasks, 2, &mut StrictPriority::new(), &costs(), &plan, &ExecCtx::default())
+                &tasks, 2, &mut StrictPriority::new(), &costs(), &ExecCtx::default())
         };
         prop_assume!(!outcome.segments.is_empty());
         let node = NodeConfig::xd1_measured(&Floorplan::xd1_dual_prr());
@@ -161,7 +147,6 @@ fn save_restore_time_is_attributed_to_config() {
         1,
         &mut StrictPriority::new(),
         &costs(),
-        &FaultPlan::disarmed(),
         &ExecCtx::default(),
     );
     assert!(outcome.stats.preemptions > 0);

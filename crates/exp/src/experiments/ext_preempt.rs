@@ -15,7 +15,6 @@
 //! transfers on the configuration port.
 
 use hprc_ctx::ExecCtx;
-use hprc_fault::FaultPlan;
 use hprc_fpga::floorplan::Floorplan;
 use hprc_model::params::ModelParams;
 use hprc_model::preempt::{asymptotic_speedup_with_preemption, PreemptOverheads};
@@ -164,7 +163,6 @@ fn run_grid_point(
         N_SLOTS,
         policy.as_mut(),
         QUANTUM_FRAC * node.t_prtr_s(),
-        &FaultPlan::disarmed(),
         ctx,
     )
 }

@@ -14,7 +14,7 @@ use hprc_sim::executor::{run_frtr, run_frtr_faulty, run_prtr, run_prtr_faulty, E
 use hprc_sim::node::NodeConfig;
 use hprc_sim::preempt::{run_preemptive, PreemptSegment};
 use hprc_sim::task::{PrtrCall, TaskCall};
-use hprc_sim::time::{SimDuration, SimTime};
+use hprc_sim::time::SimTime;
 use hprc_sim::trace::Timeline;
 use serde::{Deserialize, Serialize};
 
@@ -244,7 +244,6 @@ pub fn preempt_costs_for(node: &NodeConfig, quantum_s: f64) -> PreemptCosts {
         t_decision_s: node.decision_latency_s,
         t_control_s: node.control_overhead_s,
         t_partial_s: node.t_prtr_s(),
-        t_full_s: node.t_frtr_s(),
         quantum_s,
         port_bytes_per_s: node.prr_bitstream_bytes as f64 / node.t_prtr_s(),
     }
@@ -264,20 +263,15 @@ pub fn preempt_segments(outcome: &PreemptOutcome) -> Vec<PreemptSegment> {
             decision_start: SimTime(s.decision.start_ns),
             decision_end: SimTime(s.decision.end_ns),
             config: s.config.map(|w| (SimTime(w.start_ns), SimTime(w.end_ns))),
-            config_clean: SimDuration(s.config_clean_ns),
             restore: s.restore.map(|w| (SimTime(w.start_ns), SimTime(w.end_ns))),
-            restore_clean: SimDuration(s.restore_clean_ns),
             control_start: SimTime(s.control.start_ns),
             control_end: SimTime(s.control.end_ns),
             exec_start: SimTime(s.exec.start_ns),
             exec_end: SimTime(s.exec.end_ns),
             save: s.save.map(|w| (SimTime(w.start_ns), SimTime(w.end_ns))),
             hit: s.hit,
-            forced_full: s.forced_full,
             resumed: s.resumed,
             preempted: s.preempted,
-            dropped: s.dropped,
-            clean: s.clean,
         })
         .collect()
 }
@@ -302,11 +296,10 @@ pub fn run_point_preemptive(
     n_slots: usize,
     policy: &mut dyn Policy,
     quantum_s: f64,
-    plan: &hprc_fault::FaultPlan,
     ctx: &ExecCtx,
 ) -> PreemptPointRun {
     let costs = preempt_costs_for(node, quantum_s);
-    let outcome = simulate_preemptive(tasks, n_slots, policy, &costs, plan, ctx);
+    let outcome = simulate_preemptive(tasks, n_slots, policy, &costs, ctx);
     let segments = preempt_segments(&outcome);
     let report = run_preemptive(node, &segments, ctx).expect("engine emits renderable schedules");
     PreemptPointRun { outcome, report }

@@ -166,15 +166,7 @@ fn preempt_sweep(
     let ctx = instrumented_ctx(seed, jobs, delta);
     let runs = par_indexed(quanta.len(), &ctx, |i, child| {
         let mut policy = Edf::new();
-        run_point_preemptive(
-            &n,
-            &tasks,
-            1,
-            &mut policy,
-            quanta[i],
-            &FaultPlan::disarmed(),
-            child,
-        )
+        run_point_preemptive(&n, &tasks, 1, &mut policy, quanta[i], child)
     });
     Artifacts {
         reports: format!(

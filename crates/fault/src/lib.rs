@@ -8,9 +8,9 @@
 //! - [`FaultSpec`]: independent per-site fault probabilities for the
 //!   five injection points ([`FaultSite`]).
 //! - [`FaultPlan`]: a seeded, pure function from `(site, call, attempt)`
-//!   to fault/no-fault. Derived from [`hprc_ctx::ExecCtx::seed_for`],
-//!   so every consumer (sim, sched, virt, exp) replays the *same* faults
-//!   byte-identically at any `--jobs`.
+//!   to fault/no-fault, so every consumer (the `sched::faulty` cache
+//!   simulation, the `sim` FRTR/PRTR executors, `exp`'s fleet node
+//!   kills) replays the *same* faults byte-identically at any `--jobs`.
 //! - [`RecoveryPolicy`]: bounded retry with deterministic exponential
 //!   backoff, bitstream re-fetch after CRC mismatch, escalation from
 //!   partial to full (FRTR) reconfiguration after K failed partial
@@ -32,12 +32,7 @@
 
 #![warn(missing_docs)]
 
-use hprc_ctx::ExecCtx;
 use serde::{Deserialize, Serialize};
-
-/// The `ExecCtx::seed_for` stream id from which fault plans derive
-/// their seed (see [`FaultPlan::from_ctx`]).
-pub const FAULT_STREAM: u64 = 0xFA_0175;
 
 /// SplitMix64 output mixer: the standard finalizer from Steele et al.,
 /// also used by `rand`'s `SplitMix64`. One call fully avalanches its
@@ -258,55 +253,9 @@ impl CallFate {
         (self.partial_attempts as u64 + self.full_attempts as u64).saturating_sub(1)
     }
 
-    /// Partial attempts that failed.
-    pub fn partial_failures(&self) -> u32 {
-        if self.escalated {
-            self.partial_attempts
-        } else {
-            self.partial_attempts.saturating_sub(1)
-        }
-    }
-
-    /// Full attempts that failed.
-    pub fn full_failures(&self) -> u32 {
-        if self.dropped {
-            self.full_attempts
-        } else if self.full_attempts > 0 {
-            self.full_attempts - 1
-        } else {
-            0
-        }
-    }
-
     /// True when no fault touched this call.
     pub fn is_clean(&self) -> bool {
         self.injected() == 0 && !self.escalated && !self.forced_full && !self.dropped
-    }
-
-    /// Total configuration-chain wall-clock in seconds: every attempt's
-    /// transfer time plus backoff after each failure plus a re-fetch
-    /// per CRC mismatch. Used by consumers that charge recovery as one
-    /// coarse interval (virt); the cycle-accurate simulator lays the
-    /// same chain out event by event instead.
-    pub fn chain_s(&self, policy: &RecoveryPolicy, t_partial_s: f64, t_full_s: f64) -> f64 {
-        let mut total = self.partial_attempts as f64 * t_partial_s
-            + self.full_attempts as f64 * t_full_s
-            + self.crc_refetches as f64 * policy.refetch_s;
-        // Failed attempts are always the leading ones in each chain
-        // (the first success ends it), so failure ordinals are 1..=n.
-        // Every partial failure pays its backoff (a retry or the
-        // escalation follows); a drop's terminal full failure retries
-        // nothing, so it pays none.
-        for a in 1..=self.partial_failures() {
-            total += policy.backoff_s(a);
-        }
-        let paid = self
-            .full_failures()
-            .saturating_sub(if self.dropped { 1 } else { 0 });
-        for f in 1..=paid {
-            total += policy.backoff_s(f);
-        }
-        total
     }
 
     #[inline]
@@ -338,12 +287,6 @@ impl FaultPlan {
     /// A plan with an explicit seed.
     pub fn new(spec: FaultSpec, policy: RecoveryPolicy, seed: u64) -> Self {
         FaultPlan { spec, policy, seed }
-    }
-
-    /// Derives the plan seed from the context's [`FAULT_STREAM`], so
-    /// the same `--seed` reproduces the same faults at any `--jobs`.
-    pub fn from_ctx(spec: FaultSpec, policy: RecoveryPolicy, ctx: &ExecCtx) -> Self {
-        FaultPlan::new(spec, policy, ctx.seed_for(FAULT_STREAM))
     }
 
     /// The all-probabilities-zero plan: every fate is clean, so every
@@ -485,17 +428,10 @@ impl FaultPlan {
     }
 }
 
-/// Salt XORed into the call number for context-restore transfers
-/// ([`FaultState::on_restore`]): restores share the partial-bitstream
-/// fault model but draw from their own stream, so the same `(site,
-/// call, attempt)` triple never collides between a configuration and
-/// a restore within one run.
-pub const RESTORE_STREAM_SALT: u64 = 0x9E37_79B9_7F4A_7C15;
-
 /// Stream salt for fleet node-kill draws
 /// ([`FaultPlan::node_kill_call`]): whole-node chaos events draw from
-/// their own stream so they never collide with per-call fates or
-/// restore transfers under the same plan seed.
+/// their own stream so they never collide with per-call fates under
+/// the same plan seed.
 pub const NODE_KILL_SALT: u64 = 0x4E0D_E4B1_1100_0003;
 
 /// The mutable recovery state layered over a plan: per-PRR escalation
@@ -566,21 +502,6 @@ impl FaultState {
             }
         }
         fate
-    }
-
-    /// The fate of full-reconfiguration call `call` (FRTR mode).
-    pub fn on_full(&self, call: u64) -> CallFate {
-        self.plan.full_fate(call)
-    }
-
-    /// The fate of a context-restore transfer for preemption call
-    /// `call` targeting `slot`. Restores ride the same ICAP/API path
-    /// as partial bitstreams, so they fault and escalate exactly like
-    /// a miss — but on an independent draw stream
-    /// ([`RESTORE_STREAM_SALT`]) so arming restores never perturbs the
-    /// fates of ordinary configuration calls sharing call numbers.
-    pub fn on_restore(&mut self, call: u64, slot: usize) -> CallFate {
-        self.on_miss(call ^ RESTORE_STREAM_SALT, slot)
     }
 
     /// Whether an SEU strikes resident slot `slot` after call `call`
@@ -687,11 +608,20 @@ mod tests {
                 assert_eq!(fate.partial_attempts, 4);
                 assert_eq!(fate.full_attempts, 3);
             }
-            // First-fault-per-attempt: injected == failed attempts.
-            assert_eq!(
-                fate.injected(),
-                fate.partial_failures() as u64 + fate.full_failures() as u64
-            );
+            // First-fault-per-attempt: injected == failed attempts. Only
+            // a chain's last attempt can succeed, and an escalated
+            // partial chain or a dropped full chain has no success.
+            let failed_partial = if fate.escalated {
+                fate.partial_attempts
+            } else {
+                fate.partial_attempts - 1
+            };
+            let failed_full = if fate.dropped || fate.full_attempts == 0 {
+                fate.full_attempts
+            } else {
+                fate.full_attempts - 1
+            };
+            assert_eq!(fate.injected(), (failed_partial + failed_full) as u64);
         }
     }
 
@@ -743,24 +673,6 @@ mod tests {
         assert_eq!(policy.backoff_s(1), 0.002);
         assert_eq!(policy.backoff_s(2), 0.004);
         assert_eq!(policy.backoff_s(3), 0.008);
-    }
-
-    #[test]
-    fn chain_s_matches_hand_computation() {
-        let policy = RecoveryPolicy::default();
-        // Clean partial: exactly one transfer.
-        assert_eq!(CallFate::clean_partial().chain_s(&policy, 0.02, 1.7), 0.02);
-        assert_eq!(CallFate::clean_full().chain_s(&policy, 0.02, 1.7), 1.7);
-        // 2 failed partials (one CRC, one timeout) + success on 3rd:
-        // 3 transfers + backoff(1) + backoff(2) + one re-fetch.
-        let fate = CallFate {
-            partial_attempts: 3,
-            crc_refetches: 1,
-            icap_timeouts: 1,
-            ..CallFate::default()
-        };
-        let want = 3.0 * 0.02 + 0.002 + 0.004 + 0.005;
-        assert!((fate.chain_s(&policy, 0.02, 1.7) - want).abs() < 1e-12);
     }
 
     #[test]
@@ -816,38 +728,5 @@ mod tests {
             assert_eq!(a.seu_strikes(call, slot), b.seu_strikes(call, slot));
             assert_eq!(a.blacklisted_slots(), b.blacklisted_slots());
         }
-    }
-
-    #[test]
-    fn from_ctx_derives_the_fault_stream_seed() {
-        let ctx = ExecCtx::default().with_seed(77);
-        let plan = FaultPlan::from_ctx(FaultSpec::uniform(0.1), RecoveryPolicy::default(), &ctx);
-        assert_eq!(plan.seed(), ctx.seed_for(FAULT_STREAM));
-    }
-
-    #[test]
-    fn restore_stream_is_independent_of_miss_stream() {
-        let plan = armed_plan(0.35, 99);
-        // Same call number, independent states: the restore fate must
-        // equal the miss fate of the salted call, and differ somewhere
-        // from the unsalted miss stream across a window of calls.
-        let mut s_restore = FaultState::new(plan, 4);
-        let mut s_salted = FaultState::new(plan, 4);
-        let mut s_miss = FaultState::new(plan, 4);
-        let mut any_diff = false;
-        for call in 0..64u64 {
-            let r = s_restore.on_restore(call, 0);
-            let m = s_salted.on_miss(call ^ RESTORE_STREAM_SALT, 0);
-            assert_eq!(r, m, "on_restore must be the salted miss stream");
-            if r != s_miss.on_miss(call, 0) {
-                any_diff = true;
-            }
-        }
-        assert!(any_diff, "restore stream should diverge from miss stream");
-
-        // Disarmed plans stay clean on the restore path too.
-        let disarmed = FaultPlan::disarmed();
-        let mut s = FaultState::new(disarmed, 2);
-        assert_eq!(s.on_restore(7, 1), CallFate::clean_partial());
     }
 }

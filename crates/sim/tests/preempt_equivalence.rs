@@ -1,7 +1,7 @@
 //! Property tests pinning the preemptive renderer's fast==reference
 //! guarantee: for *any* schedule the `hprc-sched` preemptible engine
-//! emits — random task sets, strict-priority or EDF, with and without
-//! faults armed — [`run_preemptive`] must be observably indistinguishable
+//! emits — random task sets, strict-priority or EDF, preemptive or
+//! not — [`run_preemptive`] must be observably indistinguishable
 //! from [`run_preemptive_reference`]: same totals, same per-dispatch
 //! timings, same RLE-expanded timeline, bit-identical metrics, and
 //! causal journals that expand to the same bytes. A crafted steady periodic workload
@@ -9,7 +9,6 @@
 //! timeline holds strictly fewer RLE items than the reference).
 
 use hprc_ctx::{ExecCtx, Symbol};
-use hprc_fault::{FaultPlan, FaultSpec, RecoveryPolicy};
 use hprc_fpga::floorplan::Floorplan;
 use hprc_obs::Registry;
 use hprc_sched::preempt::{
@@ -19,7 +18,7 @@ use hprc_sched::{Policy, TaskId};
 use hprc_sim::executor::ExecutionReport;
 use hprc_sim::node::NodeConfig;
 use hprc_sim::preempt::{run_preemptive, run_preemptive_reference, PreemptSegment};
-use hprc_sim::time::{SimDuration, SimTime};
+use hprc_sim::time::SimTime;
 use proptest::prelude::*;
 
 /// The sched→sim bridge the experiment layer uses: engine windows are
@@ -35,20 +34,15 @@ fn to_sim_segments(segments: &[ScheduleSegment]) -> Vec<PreemptSegment> {
             decision_start: SimTime(s.decision.start_ns),
             decision_end: SimTime(s.decision.end_ns),
             config: s.config.map(|w| (SimTime(w.start_ns), SimTime(w.end_ns))),
-            config_clean: SimDuration(s.config_clean_ns),
             restore: s.restore.map(|w| (SimTime(w.start_ns), SimTime(w.end_ns))),
-            restore_clean: SimDuration(s.restore_clean_ns),
             control_start: SimTime(s.control.start_ns),
             control_end: SimTime(s.control.end_ns),
             exec_start: SimTime(s.exec.start_ns),
             exec_end: SimTime(s.exec.end_ns),
             save: s.save.map(|w| (SimTime(w.start_ns), SimTime(w.end_ns))),
             hit: s.hit,
-            forced_full: s.forced_full,
             resumed: s.resumed,
             preempted: s.preempted,
-            dropped: s.dropped,
-            clean: s.clean,
         })
         .collect()
 }
@@ -95,34 +89,9 @@ fn costs() -> impl Strategy<Value = PreemptCosts> {
         t_decision_s: 2e-6,
         t_control_s: 4.8e-6,
         t_partial_s: partial as f64 * 1e-4,
-        t_full_s: partial as f64 * 1e-4 * 14.0,
         quantum_s: quantum as f64 * 1e-4,
         port_bytes_per_s: port as f64 * 5e6,
     })
-}
-
-/// Disarmed through near-certain fault plans, as in `fault_equivalence`.
-fn plan() -> impl Strategy<Value = FaultPlan> {
-    (0..4u8, 0.0..1.0f64, any::<u64>(), 1..4u32, 1..4u32).prop_map(
-        |(regime, u, seed, max_partial, blacklist_after)| {
-            let rate = match regime {
-                0 => 0.0,
-                1 => 0.001 + u * 0.049,
-                2 => 0.05 + u * 0.35,
-                _ => 0.9 + u * 0.0999,
-            };
-            if rate == 0.0 {
-                FaultPlan::disarmed()
-            } else {
-                let policy = RecoveryPolicy {
-                    max_partial_attempts: max_partial,
-                    blacklist_after,
-                    ..RecoveryPolicy::default()
-                };
-                FaultPlan::new(FaultSpec::uniform(rate), policy, seed)
-            }
-        },
-    )
 }
 
 fn policy_for(choice: u8) -> Box<dyn Policy> {
@@ -183,20 +152,18 @@ fn ctx() -> ExecCtx {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Fast == reference on engine-produced schedules across policies
-    /// and fault regimes. The schedules here contain genuine
-    /// preemptions, restores, escalations, and drops — everything the
-    /// salted segment keys must confine the jump around.
+    /// Fast == reference on engine-produced schedules across policies.
+    /// The schedules here contain genuine preemptions and restores —
+    /// the segment shapes the keys must confine the jump around.
     #[test]
     fn preemptive_fast_path_is_equivalent(
         tasks in task_set(),
         costs in costs(),
-        plan in plan(),
         choice in any::<u8>(),
     ) {
         let mut policy = policy_for(choice);
         let outcome = simulate_preemptive(
-            &tasks, 2, policy.as_mut(), &costs, &plan, &ExecCtx::default());
+            &tasks, 2, policy.as_mut(), &costs, &ExecCtx::default());
         prop_assume!(!outcome.segments.is_empty());
         let node = NodeConfig::xd1_measured(&Floorplan::xd1_dual_prr());
         let segments = to_sim_segments(&outcome.segments);
@@ -227,18 +194,10 @@ fn steady_periodic_schedule_compresses() {
         t_decision_s: 2e-6,
         t_control_s: 4.8e-6,
         t_partial_s: 1e-3,
-        t_full_s: 14e-3,
         quantum_s: 1e-3,
         port_bytes_per_s: 1e8,
     };
-    let outcome = simulate_preemptive(
-        &tasks,
-        2,
-        &mut Edf::new(),
-        &costs,
-        &FaultPlan::disarmed(),
-        &ExecCtx::default(),
-    );
+    let outcome = simulate_preemptive(&tasks, 2, &mut Edf::new(), &costs, &ExecCtx::default());
     assert_eq!(outcome.stats.completed, 64);
     let node = NodeConfig::xd1_measured(&Floorplan::xd1_dual_prr());
     let segments = to_sim_segments(&outcome.segments);
@@ -287,7 +246,6 @@ fn preemption_heavy_schedule_is_equivalent() {
         t_decision_s: 2e-6,
         t_control_s: 4.8e-6,
         t_partial_s: 1e-3,
-        t_full_s: 14e-3,
         quantum_s: 0.5e-3,
         port_bytes_per_s: 1e8,
     };
@@ -296,7 +254,6 @@ fn preemption_heavy_schedule_is_equivalent() {
         1,
         &mut StrictPriority::new(),
         &costs,
-        &FaultPlan::disarmed(),
         &ExecCtx::default(),
     );
     assert!(outcome.stats.preemptions > 0, "workload must preempt");

@@ -9,10 +9,8 @@
 //!   arrival times and priorities;
 //! * [`runtime`] — the OS-style scheduler over fixed PRRs: FCFS/priority
 //!   disciplines, FRTR vs PRTR modes, optional next-configuration
-//!   overlap, per-app turnaround/hit statistics, Gantt timelines, and
-//!   fault injection ([`runtime::run_faulty`]) that surfaces recovery
-//!   outcomes instead of unwinding. One event loop serves both:
-//!   [`runtime::run`] is `run_faulty` under a disarmed plan;
+//!   overlap, per-app turnaround/hit statistics, and Gantt timelines;
+//!   every configuration is one clean transfer;
 //! * [`flexible`] — the variable-width runtime: modules occupy exactly
 //!   the columns they need inside one reconfigurable window, with LRU
 //!   eviction and on-block defragmentation (width-scaled configuration
@@ -48,6 +46,4 @@ pub mod runtime;
 pub use app::{App, VirtCall};
 pub use error::VirtError;
 pub use flexible::{run_flexible, DefragPolicy, FlexApp, FlexCall, FlexConfig, FlexReport};
-pub use runtime::{
-    run, run_faulty, FaultyRunReport, ReconfigMode, RunReport, RuntimeConfig, SchedulerKind,
-};
+pub use runtime::{run, ReconfigMode, RunReport, RuntimeConfig, SchedulerKind};
