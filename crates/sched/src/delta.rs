@@ -139,9 +139,7 @@ mod tests {
     use super::*;
     use crate::cache::ConfigCache;
     use crate::faulty::simulate_faulty;
-    use crate::policies::{
-        AlwaysMiss, AssociationRule, Belady, Fifo, Lfu, Lru, Markov, RandomPolicy,
-    };
+    use crate::policies::{AlwaysMiss, Belady, Fifo, Lfu, Lru, Markov, RandomPolicy};
     use crate::simulate::simulate;
     use hprc_ctx::ExecCtx;
     use hprc_fault::{FaultSpec, RecoveryPolicy};
@@ -212,7 +210,6 @@ mod tests {
             Box::new(|| Box::new(Belady::new())),
             Box::new(|| Box::new(RandomPolicy::new(42))),
             Box::new(|| Box::new(Markov::with_decision_latency(1e-5))),
-            Box::new(|| Box::new(AssociationRule::new(3, 0.4))),
         ];
         for make in &makes {
             roundtrip_agrees(make, &trace, 3);
