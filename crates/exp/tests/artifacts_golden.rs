@@ -29,6 +29,18 @@ fn tmp_dir(tag: &str) -> PathBuf {
     dir
 }
 
+/// Removes its directories when dropped, so a failing assertion leaves
+/// none of them behind either.
+struct RemoveOnDrop(Vec<PathBuf>);
+
+impl Drop for RemoveOnDrop {
+    fn drop(&mut self) {
+        for dir in &self.0 {
+            let _ = std::fs::remove_dir_all(dir);
+        }
+    }
+}
+
 fn run(args: &[&str], out: &Path, trace: Option<&Path>) {
     let mut cmd = Command::new(env!("CARGO_BIN_EXE_hprc-exp"));
     cmd.arg("--out").arg(out);
@@ -73,15 +85,14 @@ fn every_artifact_matches_the_golden_crc() {
         })
         .collect();
 
-    let plain = tmp_dir("plain");
+    let (plain, out, trace) = (tmp_dir("plain"), tmp_dir("traced-out"), tmp_dir("traced"));
+    let _cleanup = RemoveOnDrop(vec![plain.clone(), out.clone(), trace.clone()]);
     run(&["--jobs", "2", "all"], &plain, None);
     let reports = |n: &str| n.ends_with(".json") || n.ends_with(".csv");
     let mut actual = seals(&plain, reports);
     assert_eq!(actual.keys().filter(|n| n.ends_with(".json")).count(), 24);
     assert_eq!(actual.keys().filter(|n| n.ends_with(".csv")).count(), 7);
 
-    let out = tmp_dir("traced-out");
-    let trace = tmp_dir("traced");
     let mut args = vec!["--jobs", "2"];
     args.extend(TRACED);
     run(&args, &out, Some(&trace));
@@ -115,7 +126,4 @@ fn every_artifact_matches_the_golden_crc() {
         golden.keys().collect::<Vec<_>>(),
         "artifact set differs from the golden"
     );
-    for dir in [plain, out, trace] {
-        let _ = std::fs::remove_dir_all(dir);
-    }
 }
