@@ -2,17 +2,16 @@
 //!
 //! The execution-context layer: one [`ExecCtx`] struct carrying every
 //! cross-cutting concern of a run — the observability [`Registry`] and
-//! [`Journal`], the deterministic base RNG seed, the parallelism budget,
-//! the [`RunBudget`] and the [`DeltaCache`] — threaded through all
-//! substrates (`hprc-sim`, `hprc-sched`, `hprc-virt`, `hprc-exp`) so
-//! each entry point exists exactly once instead of as a `foo()` /
+//! [`Journal`], the deterministic base RNG seed, the parallelism budget
+//! and the [`DeltaCache`] — threaded through all substrates
+//! (`hprc-sim`, `hprc-sched`, `hprc-virt`, `hprc-exp`) so each entry
+//! point exists exactly once instead of as a `foo()` /
 //! `foo_with(&Registry)` twin.
 //!
 //! [`ExecCtx::default()`] reproduces the plain, uninstrumented, serial
 //! behavior bit-for-bit: a no-op registry, seed base 0 (the XOR
 //! identity, so explicit per-call seeds pass through unchanged), a
-//! parallelism budget of one, an unlimited run budget and a disabled
-//! delta cache.
+//! parallelism budget of one and a disabled delta cache.
 //!
 //! ```
 //! use hprc_ctx::ExecCtx;
@@ -40,10 +39,10 @@ pub mod symbol;
 
 pub use symbol::Symbol;
 
-use hprc_obs::{DeltaCache, Journal, Registry, RunBudget};
+use hprc_obs::{DeltaCache, Journal, Registry};
 
 /// The execution context for one run: observability, determinism,
-/// parallelism and budgets, in one cheap-to-clone handle.
+/// parallelism and the delta cache, in one cheap-to-clone handle.
 ///
 /// Every substrate entry point takes `&ExecCtx` as its last parameter.
 /// Cloning clones the registry *handle* (an `Arc`, or nothing for a
@@ -65,11 +64,6 @@ pub struct ExecCtx {
     /// Parallelism budget for sweep runners (worker threads). Clamped
     /// to at least 1 by consumers; 1 means strictly serial.
     pub jobs: usize,
-    /// Deterministic run budget. [`RunBudget::unlimited`] (the default)
-    /// makes every budget hook a single branch; a limited budget cuts
-    /// off simulation at an exact logical sequence number and tallies
-    /// the refused work as would-have-run.
-    pub budget: RunBudget,
     /// Delta-simulation skeleton cache. [`DeltaCache::disabled`] (the
     /// default) makes every memoization hook a single branch; an
     /// enabled cache lets sweeps replay memoized schedules of equal
@@ -85,7 +79,6 @@ impl Default for ExecCtx {
             journal: Journal::noop(),
             seed: 0,
             jobs: 1,
-            budget: RunBudget::unlimited(),
             delta: DeltaCache::disabled(),
         }
     }
@@ -126,13 +119,6 @@ impl ExecCtx {
         self
     }
 
-    /// Replaces the run budget.
-    #[must_use]
-    pub fn with_budget(mut self, budget: RunBudget) -> Self {
-        self.budget = budget;
-        self
-    }
-
     /// Replaces the delta-simulation skeleton cache.
     #[must_use]
     pub fn with_delta(mut self, delta: DeltaCache) -> Self {
@@ -156,38 +142,19 @@ impl ExecCtx {
 
     /// Derives the per-index child context for one sweep point:
     /// `seed = base ⊕ index`, a fresh per-point registry (active iff
-    /// this context's is), and a serial (`jobs = 1`) budget so nested
-    /// sweeps never multiply threads.
+    /// this context's is), a re-salted child journal, and a serial
+    /// (`jobs = 1`) budget so nested sweeps never multiply threads.
     #[must_use]
     pub fn child(&self, index: usize) -> ExecCtx {
-        ExecCtx {
-            seed: self.seed ^ index as u64,
-            journal: self.journal.child(index as u64),
-            ..self.fork()
-        }
-    }
-
-    /// Derives a child context that keeps the parent's seed base:
-    /// a fresh registry (active iff this context's is) and a serial
-    /// budget. For fanning out heterogeneous work items (e.g. whole
-    /// experiments) whose internal seed streams are already
-    /// independent.
-    #[must_use]
-    pub fn fork(&self) -> ExecCtx {
         ExecCtx {
             registry: if self.registry.is_enabled() {
                 Registry::new()
             } else {
                 Registry::noop()
             },
-            journal: self.journal.fork(),
-            seed: self.seed,
+            journal: self.journal.child(index as u64),
+            seed: self.seed ^ index as u64,
             jobs: 1,
-            // Children and forks get a fresh unlimited budget: a shared
-            // budget charged from parallel workers would make exhaustion
-            // depend on the interleaving. Fleet-style fan-outs split the
-            // parent budget explicitly (RunBudget::split_events) instead.
-            budget: RunBudget::unlimited(),
             // The skeleton cache IS shared: replays are byte-identical
             // to longhand runs, so parallel workers reusing each
             // other's skeletons can never perturb results.
@@ -240,36 +207,14 @@ mod tests {
     }
 
     #[test]
-    fn fork_keeps_the_seed_base() {
-        let ctx = ExecCtx::new().with_seed(77).with_jobs(4);
-        let f = ctx.fork();
-        assert_eq!(f.seed, 77);
-        assert_eq!(f.jobs, 1);
-    }
-
-    #[test]
-    fn budgets_never_leak_into_children_or_forks() {
-        let ctx = ExecCtx::new().with_budget(RunBudget::events(3));
-        assert!(ctx.budget.is_limited());
-        // A shared budget across parallel children would tie exhaustion
-        // to worker interleaving, so derivation resets it.
-        assert!(!ctx.child(0).budget.is_limited());
-        assert!(!ctx.fork().budget.is_limited());
-        // Clones share the budget state (like the registry handle).
-        let clone = ctx.clone();
-        assert_eq!(clone.budget.admit(5), 3);
-        assert!(ctx.budget.exhausted());
-    }
-
-    #[test]
-    fn delta_cache_is_shared_with_children_and_forks() {
+    fn delta_cache_is_shared_with_children() {
         let ctx = ExecCtx::new().with_delta(DeltaCache::new(1024));
         assert!(ctx.delta.is_enabled());
         let child = ctx.child(3);
         child.delta.put(b"k".to_vec(), std::sync::Arc::new(5u8), 1);
         // One shared store: the parent and a sibling both see it.
         assert!(ctx.delta.get(b"k").is_some());
-        assert!(ctx.fork().delta.get(b"k").is_some());
+        assert!(ctx.child(4).delta.get(b"k").is_some());
         // The default context keeps the cache disabled.
         assert!(!ExecCtx::default().delta.is_enabled());
     }

@@ -1,4 +1,4 @@
-//! E-fleet: fleet-scale orchestration under node kills and run budgets.
+//! E-fleet: fleet-scale orchestration under node kills and a call cap.
 //!
 //! A 1024-node fleet (32 racks of 32) runs the looping image-pipeline
 //! workload per node while a chaos plan kills a deterministic,
@@ -18,7 +18,6 @@
 //! [`crate::fleet::run_fleet`]).
 
 use hprc_ctx::ExecCtx;
-use hprc_obs::FleetTopology;
 use serde::Serialize;
 
 use crate::fleet::{run_fleet, FleetError, FleetRun, FleetSpec};
@@ -84,7 +83,6 @@ fn throughput(run: &FleetRun) -> f64 {
 /// `exp.ext_fleet.min_rack_h` ride along, and the budget fleet attaches
 /// its folded [`hprc_obs::BudgetAccount`] to the journal footer.
 pub fn run_with_series(ctx: &ExecCtx) -> Result<(Report, Series), FleetError> {
-    let topo = FleetTopology::new(NODES, RACK_SIZE);
     // Nodes are the parallel axis inside each fleet, so the sweep
     // itself stays serial: rate i is journal/id stream i.
     let runs: Vec<FleetRun> = RATES
@@ -98,7 +96,7 @@ pub fn run_with_series(ctx: &ExecCtx) -> Result<(Report, Series), FleetError> {
         .iter()
         .zip(&runs)
         .map(|(&rate, run)| {
-            let hs = run.rack_hit_ratios(&topo);
+            let hs = run.rack_hit_ratios(&spec(rate));
             Row {
                 rate,
                 killed_nodes: run.killed_nodes(),
@@ -126,7 +124,7 @@ pub fn run_with_series(ctx: &ExecCtx) -> Result<(Report, Series), FleetError> {
     )?;
     let account = budget_run
         .account
-        .ok_or(FleetError::MissingAccount { node: 0 })?;
+        .expect("a capped fleet folds its account");
 
     if ctx.registry.is_enabled() {
         let min_avail = rows.iter().map(|r| r.availability).fold(1.0, f64::min);
@@ -180,7 +178,7 @@ pub fn run_with_series(ctx: &ExecCtx) -> Result<(Report, Series), FleetError> {
          same numbers on every rerun at any --jobs, and the account is in\n\
          the cluster journal footer.\n",
         t.render(),
-        racks = topo.racks(),
+        racks = spec(TRACE_RATE).racks(),
         half = budget_events / NODES as u64,
         cut = account
             .cutoff_seq

@@ -529,9 +529,13 @@ mod tests {
         let j = hprc_obs::Journal::new(5);
         let run = j.enter("fleet.run", 0, 0);
         j.exit(run, 10);
-        let budget = hprc_obs::RunBudget::events(2);
-        budget.admit(3);
-        j.set_budget_account(budget.account().unwrap());
+        j.set_budget_account(hprc_obs::BudgetAccount {
+            max_events: Some(2),
+            charged_events: 2,
+            would_have_run: 1,
+            cutoff_seq: Some(3),
+            runs_cut: 1,
+        });
         let dir =
             std::env::temp_dir().join(format!("hprc-journal-cli-budget-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();

@@ -46,7 +46,7 @@ pub enum ExpError {
     /// The id is not in [`EXPERIMENTS`].
     UnknownId(String),
     /// The fleet orchestrator failed (a node simulation rejected its
-    /// inputs or the budget accounting was inconsistent).
+    /// inputs).
     Fleet(fleet::FleetError),
     /// A payload would not serialize to JSON.
     Serialize(String),

@@ -41,18 +41,6 @@ where
     T: Send,
     F: Fn(usize, &ExecCtx) -> T + Sync,
 {
-    // Single-point fan-outs skip the merge: the child still gets index
-    // 0's derived seed and journal salt (so a 1-point sweep reproduces
-    // the first point of an n-point sweep byte-for-byte), but records
-    // straight into the parent registry — merging one child registry
-    // in order is the identity.
-    if n == 1 {
-        let child = ctx.child(0).with_registry(ctx.registry.clone());
-        let out = vec![f(0, &child)];
-        ctx.journal.merge_from(&child.journal);
-        return out;
-    }
-
     let children: Vec<ExecCtx> = (0..n).map(|i| ctx.child(i)).collect();
     let next = AtomicUsize::new(0);
     // One worker's share: the indices it pulled, with their results.
@@ -134,15 +122,15 @@ mod tests {
     }
 
     #[test]
-    fn single_point_fast_path_records_into_parent() {
+    fn single_point_fanout_merges_into_parent() {
         let reg = Registry::new();
         let ctx = ExecCtx::default().with_registry(reg.clone()).with_jobs(4);
         let out = par_indexed(1, &ctx, |i, child| {
             child.registry.counter("runner.test.single").add(3);
             (i, child.seed_for(5))
         });
-        // The child still derives index 0's seed (identity for base 0)
-        // and its metrics land in the parent registry without a merge.
+        // The child derives index 0's seed (identity for base 0) and its
+        // metrics merge into the parent registry.
         assert_eq!(out, vec![(0, 5)]);
         assert_eq!(reg.snapshot().counters["runner.test.single"], 3);
     }

@@ -9,10 +9,9 @@
 //! them, it only stores `Arc<dyn Any>` values with an approximate byte
 //! size and evicts least-recently-used entries past the bound.
 //!
-//! Like [`Registry`](crate::Registry), [`Journal`](crate::Journal) and
-//! [`RunBudget`](crate::RunBudget), the default
-//! [`DeltaCache::disabled`] handle is a `None`: every hook is a single
-//! branch, so call sites are free to leave in hot paths, and
+//! Like [`Registry`](crate::Registry) and [`Journal`](crate::Journal),
+//! the default [`DeltaCache::disabled`] handle is a `None`: every hook
+//! is a single branch, so call sites are free to leave in hot paths, and
 //! `ExecCtx::default()` reproduces pre-delta behavior bit-for-bit.
 //! Clones share the underlying store, which is what lets parallel
 //! sweep workers reuse each other's skeletons.

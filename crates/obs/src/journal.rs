@@ -46,7 +46,6 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 
-use crate::budget::BudgetAccount;
 use crate::chrome::ChromeEvent;
 
 /// Journal schema identifier written into every JSONL header line.
@@ -76,11 +75,6 @@ fn mix(salt: u64, seq: u64) -> u64 {
 }
 
 const CHILD_TAG: u64 = 0xC41D_5EED_0000_0001;
-const FORK_TAG: u64 = 0xF04B_5EED_0000_0002;
-
-fn derive_salt(salt: u64, tag: u64, index: u64) -> u64 {
-    mix(salt ^ tag, index)
-}
 
 /// One entry in the journal's append-only log.
 ///
@@ -267,6 +261,23 @@ fn expand<N: Copy>(
     records[next..].iter().for_each(|rec| emit(*rec));
 }
 
+/// The accounting of an event-capped run, written into the JSONL footer
+/// by [`Journal::set_budget_account`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct BudgetAccount {
+    /// Event cap, if one was set.
+    pub max_events: Option<u64>,
+    /// Events the cap admitted.
+    pub charged_events: u64,
+    /// Events the cap refused — the work a capped run skipped.
+    pub would_have_run: u64,
+    /// Logical sequence number of the first refused event, if any; for
+    /// a fleet, the earliest over its nodes.
+    pub cutoff_seq: Option<u64>,
+    /// How many runs the cap cut.
+    pub runs_cut: u64,
+}
+
 #[derive(Debug)]
 struct State {
     salt: u64,
@@ -280,7 +291,7 @@ struct State {
     /// The fast-path jumps, in order, each placed among `records`.
     repeats: Vec<Repeat>,
     stack: Vec<SpanId>,
-    /// Run-budget accounting attached for the JSONL footer, if any.
+    /// A capped run's account attached for the JSONL footer, if any.
     budget_account: Option<BudgetAccount>,
 }
 
@@ -349,17 +360,17 @@ impl Journal {
         self.0.is_some()
     }
 
-    /// Attaches a run-budget account to the JSONL footer. Journals
-    /// without one keep the exact pre-budget footer bytes, so golden
-    /// logs are unaffected; a replayed run re-derives the same account
-    /// from its ctx, so budgeted journals stay replayable too.
+    /// Attaches a capped run's account to the JSONL footer. Journals
+    /// without one keep the exact uncapped footer bytes, so golden logs
+    /// are unaffected; a replayed run derives the same account again, so
+    /// capped journals stay replayable too.
     pub fn set_budget_account(&self, account: BudgetAccount) {
         if let Some(cell) = &self.0 {
             cell.lock().budget_account = Some(account);
         }
     }
 
-    /// The attached run-budget account, if any.
+    /// The attached account, if any.
     pub fn budget_account(&self) -> Option<BudgetAccount> {
         self.0.as_ref().and_then(|c| c.lock().budget_account)
     }
@@ -370,16 +381,7 @@ impl Journal {
     /// in index order.
     pub fn child(&self, index: u64) -> Journal {
         match &self.0 {
-            Some(cell) => Journal::new(derive_salt(cell.lock().salt, CHILD_TAG, index)),
-            None => Journal::noop(),
-        }
-    }
-
-    /// A journal for a side computation: live iff `self` is, with a
-    /// distinct salt, and *not* merged back unless done explicitly.
-    pub fn fork(&self) -> Journal {
-        match &self.0 {
-            Some(cell) => Journal::new(derive_salt(cell.lock().salt, FORK_TAG, 0)),
+            Some(cell) => Journal::new(mix(cell.lock().salt ^ CHILD_TAG, index)),
             None => Journal::noop(),
         }
     }
@@ -592,7 +594,7 @@ impl Journal {
     /// v2 readers find the key; `bytes` of everything above the footer;
     /// `sim_ns` — the latest simulated time touched — and, when a
     /// [`BudgetAccount`] is attached, a nested `budget` object with the
-    /// run-budget cap, charges, would-have-run tally, and cutoff, whose
+    /// event cap, charges, would-have-run tally, and cutoff, whose
     /// `max_sim_ns` and `charged_sim_ns` keys are always `null` and 0).
     ///
     /// A `repeat` line is self-contained:

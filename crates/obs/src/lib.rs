@@ -37,21 +37,19 @@
 #![warn(missing_docs)]
 
 pub mod artifact;
-pub mod budget;
 pub mod chrome;
 pub mod delta;
-pub mod fleet;
 pub mod journal;
 pub mod manifest;
 pub mod metrics;
 pub mod registry;
 
 pub use artifact::ArtifactState;
-pub use budget::{BudgetAccount, RunBudget};
 pub use chrome::ChromeEvent;
 pub use delta::{DeltaAccount, DeltaCache, DEFAULT_DELTA_BYTES};
-pub use fleet::FleetTopology;
-pub use journal::{expand_jsonl, Journal, JournalMark, JournalRecord, SpanId, JOURNAL_SCHEMA};
+pub use journal::{
+    expand_jsonl, BudgetAccount, Journal, JournalMark, JournalRecord, SpanId, JOURNAL_SCHEMA,
+};
 pub use manifest::{ArtifactDirKind, Manifest, MANIFEST_SCHEMA};
 pub use metrics::{Counter, Gauge, Histogram, HistogramSummary};
 pub use registry::{Registry, Snapshot, SpanRecord};

@@ -255,8 +255,7 @@ pub(crate) fn simulate_longhand(
 
 /// The one instrumented driver behind
 /// [`simulate`](crate::simulate::simulate) and [`simulate_faulty`]:
-/// budget admission, delta dispatch, journal enter/exit, and
-/// metric recording. `plan` is either armed or exactly
+/// delta dispatch, journal enter/exit, and metric recording. `plan` is either armed or exactly
 /// [`FaultPlan::disarmed`]; the disarmed run is the clean path, recorded
 /// under the `sched.simulate` names without any `sched.fault.*`
 /// instrument.
@@ -277,11 +276,6 @@ pub(crate) fn drive(
     let registry = &ctx.registry;
     let j = &ctx.journal;
     let js = j.enter(name, 0, 0);
-
-    // Budget hook: each call is one charged event. The refused tail is
-    // dropped deterministically (same cutoff sequence on every rerun)
-    // and tallied as would-have-run; an unlimited budget admits all.
-    let trace = &trace[..ctx.budget.admit(trace.len())];
 
     // Delta path: a memoized skeleton replays an earlier run with an
     // equal trace and an equal plan whole. All recording below derives

@@ -464,11 +464,7 @@ pub fn simulate_preemptive(
     let registry = &ctx.registry;
     let j = &ctx.journal;
     let js = j.enter("sched.simulate_preemptive", 0, 0);
-    // Budget hook: each periodic task is one charged event, and the
-    // refused tail of the task set is dropped whole — truncating at
-    // frame granularity would leave half-executed hyperperiods.
-    let admitted = ctx.budget.admit(tasks.len());
-    let outcome = simulate_preemptive_inner(&tasks[..admitted], n_slots, policy, costs);
+    let outcome = simulate_preemptive_inner(tasks, n_slots, policy, costs);
     record_preempt_outcome(registry, policy.name(), &outcome);
     j.metric("sched.preempt.jobs", outcome.stats.jobs);
     j.metric("sched.preempt.preemptions", outcome.stats.preemptions);

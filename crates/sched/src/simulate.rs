@@ -172,23 +172,6 @@ mod tests {
     }
 
     #[test]
-    fn event_budget_truncates_the_trace_deterministically() {
-        let trace = ids(&[0, 1, 0, 1, 0, 1, 0, 1]);
-        let run = || {
-            let ctx = dctx().with_budget(hprc_obs::RunBudget::events(5));
-            let out = simulate(&trace, 2, &mut Lru::new(), false, &ctx);
-            (out.stats.calls, ctx.budget.cutoff_seq())
-        };
-        let (calls, cutoff) = run();
-        assert_eq!(calls, 5, "only the admitted prefix runs");
-        assert_eq!(cutoff, Some(6), "first refusal is charge 6");
-        assert_eq!(run(), (calls, cutoff), "same cutoff on every rerun");
-        // The admitted prefix behaves exactly like the shorter trace.
-        let whole = simulate(&trace[..5], 2, &mut Lru::new(), false, &dctx());
-        assert_eq!(whole.stats.hits, 3);
-    }
-
-    #[test]
     fn belady_beats_lru_on_cyclic_trace() {
         let trace = ids(&[0, 1, 2, 0, 1, 2, 0, 1, 2, 0, 1, 2]);
         let lru = simulate(&trace, 2, &mut Lru::new(), false, &dctx());
