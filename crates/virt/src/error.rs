@@ -9,6 +9,17 @@ pub enum VirtError {
     NoApplications,
     /// Application ids must be `0..n` matching their position.
     BadAppIds,
+    /// A PRTR run needs at least one PRR, and the node has none.
+    NoPrrs,
+    /// The flexible window is empty or reaches past the device.
+    WindowOutOfRange {
+        /// First column of the window.
+        start: usize,
+        /// One past the window's last column.
+        end: usize,
+        /// Number of columns in the device.
+        device_columns: usize,
+    },
     /// A flexible call requests more columns than the window offers.
     ModuleTooWide {
         /// Offending module.
@@ -25,6 +36,18 @@ impl fmt::Display for VirtError {
         match self {
             VirtError::NoApplications => write!(f, "no applications to run"),
             VirtError::BadAppIds => write!(f, "application ids must equal their index"),
+            VirtError::NoPrrs => write!(
+                f,
+                "a PRTR run needs at least one PRR, and the node has none"
+            ),
+            VirtError::WindowOutOfRange {
+                start,
+                end,
+                device_columns,
+            } => write!(
+                f,
+                "window {start}..{end} is empty or past the device's {device_columns} columns"
+            ),
             VirtError::ModuleTooWide {
                 module,
                 width,
@@ -49,5 +72,13 @@ mod tests {
             .to_string()
             .contains("no applications"));
         assert!(VirtError::BadAppIds.to_string().contains("index"));
+        assert!(VirtError::NoPrrs.to_string().contains("PRR"));
+        let window = VirtError::WindowOutOfRange {
+            start: 66,
+            end: 74,
+            device_columns: 70,
+        };
+        assert!(window.to_string().contains("66..74"));
+        assert!(window.to_string().contains("70 columns"));
     }
 }

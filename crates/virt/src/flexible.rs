@@ -111,8 +111,9 @@ struct Resident {
 /// # Errors
 ///
 /// [`VirtError::NoApplications`] / [`VirtError::BadAppIds`] as in the
-/// fixed runtime; [`VirtError::ModuleTooWide`] when a call's width
-/// exceeds the whole window.
+/// fixed runtime; [`VirtError::WindowOutOfRange`] for an empty window
+/// or one that reaches past the device; [`VirtError::ModuleTooWide`]
+/// when a call's width exceeds the whole window.
 /// ```
 /// use hprc_ctx::ExecCtx;
 /// use hprc_fpga::device::Device;
@@ -154,6 +155,12 @@ pub fn run_flexible(
         return Err(VirtError::BadAppIds);
     }
     let window_width = window.len();
+    let mut alloc =
+        WindowAllocator::new(device, window.clone()).map_err(|_| VirtError::WindowOutOfRange {
+            start: window.start,
+            end: window.end,
+            device_columns: device.columns.len(),
+        })?;
     for app in apps {
         if let Some(c) = app
             .calls
@@ -168,7 +175,6 @@ pub fn run_flexible(
         }
     }
 
-    let mut alloc = WindowAllocator::new(device, window).map_err(|_| VirtError::BadAppIds)?;
     let mut residents: HashMap<String, Resident> = HashMap::new();
     let mut icap_free = SimTime::ZERO;
     let t_control = SimDuration::from_secs_f64(node.control_overhead_s);
@@ -533,6 +539,26 @@ mod tests {
         );
         assert!((snap.gauges["virt.flex.makespan_s"] - traced.makespan_s).abs() < 1e-12);
         assert!(snap.counters["sim.queue.popped"] >= traced.calls);
+    }
+
+    #[test]
+    fn window_past_the_device_or_empty_is_rejected() {
+        let (node, device, _) = setup();
+        let n = device.columns.len();
+        let apps = [app(0, &[("sobel", 2, 0.001)], 1, 0.0)];
+        let cfg = FlexConfig {
+            defrag: DefragPolicy::Never,
+        };
+        for window in [(n - 4)..(n + 4), (n - 4)..(n - 4)] {
+            assert_eq!(
+                run_flexible(&node, &device, window.clone(), &apps, &cfg, &dctx()).err(),
+                Some(VirtError::WindowOutOfRange {
+                    start: window.start,
+                    end: window.end,
+                    device_columns: n,
+                })
+            );
+        }
     }
 
     #[test]

@@ -199,7 +199,8 @@ struct Issue {
 ///
 /// [`VirtError::NoApplications`] for an empty app list;
 /// [`VirtError::BadAppIds`] when ids are not `0..n` in order (they index
-/// the report).
+/// the report); [`VirtError::NoPrrs`] for a PRTR run on a node without
+/// PRRs.
 pub fn run(
     node: &NodeConfig,
     apps: &[App],
@@ -212,6 +213,9 @@ pub fn run(
     }
     if apps.iter().enumerate().any(|(i, a)| a.id != i) {
         return Err(VirtError::BadAppIds);
+    }
+    if config.mode == ReconfigMode::Prtr && node.n_prrs == 0 {
+        return Err(VirtError::NoPrrs);
     }
     let j = &ctx.journal;
     let js = j.enter("virt.run", 0, 0);
@@ -608,6 +612,21 @@ mod tests {
             run(&node(), &[app], &RuntimeConfig::frtr(), &dctx()),
             Err(VirtError::BadAppIds)
         ));
+    }
+
+    #[test]
+    fn prtr_on_a_node_without_prrs_is_rejected() {
+        let node = NodeConfig {
+            n_prrs: 0,
+            ..node()
+        };
+        let apps = [App::cycling(0, "a", &cores(), 6, 0.01, 0.0)];
+        assert!(matches!(
+            run(&node, &apps, &RuntimeConfig::prtr_demand(), &dctx()),
+            Err(VirtError::NoPrrs)
+        ));
+        // FRTR configures the whole device and needs no PRR.
+        assert!(run(&node, &apps, &RuntimeConfig::frtr(), &dctx()).is_ok());
     }
 
     #[test]
