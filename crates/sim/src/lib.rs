@@ -10,7 +10,7 @@
 //! can be validated against the analytical model of `hprc-model`.
 //!
 //! Every executor entry point takes an [`hprc_ctx::ExecCtx`] carrying the
-//! observability registry and journal, seed, parallelism and run budget;
+//! observability registry and journal, seed, parallelism and delta cache;
 //! `ExecCtx::default()` is the plain, uninstrumented run.
 //!
 //! ```

@@ -24,7 +24,7 @@
 //!   trace-event export, wired through the simulator, scheduler, and
 //!   runner;
 //! * [`ctx`] (`hprc-ctx`) — the execution-context layer: one [`ExecCtx`]
-//!   (registry, journal, seed, parallelism, run budget, delta cache)
+//!   (registry, journal, seed, parallelism, delta cache)
 //!   threaded through every substrate entry point;
 //! * [`exp`] (`hprc-exp`) — the harness regenerating every table and
 //!   figure, with a deterministic parallel sweep runner (`--jobs`).
